@@ -22,6 +22,7 @@ is taken as true when its degree is greater than zero.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -423,8 +424,11 @@ class _Parser:
     def primary(self) -> Expr:
         tok = self.cur
         if tok.kind == "number":
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ExprSyntaxError("number out of range", tok.line, tok.column)
             self.advance()
-            return Num(float(tok.text))
+            return Num(value)
         if tok.kind == "string":
             self.advance()
             return Text(_unescape(tok.text))
@@ -658,14 +662,17 @@ def normalize(e: Expr) -> Expr:
 
 def _fold_arith(op: str, a: float, b: float) -> float | None:
     if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if b != 0:
-        return a / b
-    return None  # division by zero stays symbolic; evaluation reports it
+        result = a + b
+    elif op == "-":
+        result = a - b
+    elif op == "*":
+        result = a * b
+    elif b != 0:
+        result = a / b
+    else:
+        return None  # division by zero stays symbolic; evaluation reports it
+    # An overflow stays symbolic too, so that every normal form prints.
+    return result if math.isfinite(result) else None
 
 
 def _fold_compare(op: str, left: Expr, right: Expr) -> Num | None:

@@ -176,9 +176,6 @@ def _load_object(doc, path: str) -> ObjectInstance:
     return _wrap(path, ObjectInstance, identifier, spec, sig, clone_index)
 
 
-_EDIT_LOADERS = {}
-
-
 def _load_edit(doc, path: str):
     _expect(doc, dict, path, "an edit object")
     kind = _get(doc, "edit", str, path, "a string")

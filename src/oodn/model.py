@@ -1,14 +1,23 @@
 """Core domain types and the equivalence / similarity / satisfaction judgments.
 
-Properties and methods are matched "by meaning", operationalized as exact
-name-key equality.  Quantitative equivalence compares units only (values
-abstract over instances); qualitative equivalence compares verification
-expressions up to normal form; method equivalence compares name, arity
-and body.
+Properties and methods are matched "by meaning", operationalized as
+equality of an equivalence key that each member computes once and caches:
+- quantitative property: kind, name and units (values abstract over
+  instances);
+- qualitative property: kind, name and the printed normal form of the
+  verification expression (or none);
+- method: kind, name, arity and the printed normal form of the body (or
+  none).
+
+Objects, cores and projections cache the set of their members' keys, so
+similarity, member-for-member equivalence and subsumption are set
+comparisons.  State equality adds values, degrees and parameter names on
+top of equal key sets.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
@@ -19,9 +28,11 @@ from .expr import (
     Expr,
     Sort,
     evaluate,
-    expr_equal,
+    expr_equal,  # noqa: F401 - perfbench/spans.py traces oodn.model.expr_equal
     infer_sort,
+    normalize,
     param_refs,
+    print_expr,
 )
 
 
@@ -29,7 +40,13 @@ class ModelError(OodnError):
     """Invalid domain value or misuse of a judgment."""
 
 
-NumberOrList = Union[float, tuple]
+def _coerce_number(v) -> float:
+    if isinstance(v, bool):
+        raise ModelError(f"expected a number, got {v!r}")
+    f = float(v)
+    if not math.isfinite(f):
+        raise ModelError(f"value {f} is not a finite number")
+    return f
 
 
 def _coerce_value(value) -> float | tuple | None:
@@ -38,8 +55,21 @@ def _coerce_value(value) -> float | tuple | None:
     if isinstance(value, (list, tuple)):
         if not value:
             raise ModelError("a list value must be nonempty")
-        return tuple(float(v) for v in value)
-    return float(value)
+        return tuple(_coerce_number(v) for v in value)
+    return _coerce_number(value)
+
+
+def _expr_key(e: Expr | None) -> str | None:
+    """The printed normal form: a small string that caches its hash."""
+    return None if e is None else print_expr(normalize(e))
+
+
+def _cache_field():
+    """A declared field for a value computed on first use and stored with
+    `object.__setattr__`.  `functools.cached_property` would write through
+    the instance `__dict__`, which on CPython 3.11 makes every later
+    attribute read of that instance about twice as slow."""
+    return field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -50,6 +80,7 @@ class QuantitativeProperty:
     name: str
     units: str
     value: float | tuple | None = None
+    _key: tuple | None = _cache_field()
 
     def __post_init__(self):
         if not self.name:
@@ -57,6 +88,13 @@ class QuantitativeProperty:
         if not self.units:
             raise ModelError(f"property {self.name!r}: units must be nonempty")
         object.__setattr__(self, "value", _coerce_value(self.value))
+
+    @property
+    def key(self) -> tuple:
+        """Equivalence key; the value is not part of it."""
+        if self._key is None:
+            object.__setattr__(self, "_key", ("quant", self.name, self.units))
+        return self._key
 
 
 @dataclass(frozen=True)
@@ -67,6 +105,7 @@ class QualitativeProperty:
     name: str
     verification: Expr | None = None
     degree: float | None = None
+    _key: tuple | None = _cache_field()
 
     def __post_init__(self):
         if not self.name:
@@ -76,7 +115,7 @@ class QualitativeProperty:
                 f"property {self.name!r}: needs a verification expression or a degree"
             )
         if self.degree is not None:
-            d = float(self.degree)
+            d = _coerce_number(self.degree)
             if not 0.0 <= d <= 1.0:
                 raise ModelError(f"property {self.name!r}: degree {d} outside [0, 1]")
             object.__setattr__(self, "degree", d)
@@ -85,6 +124,14 @@ class QualitativeProperty:
                 raise ModelError(
                     f"property {self.name!r}: verification must evaluate to a degree"
                 )
+
+    @property
+    def key(self) -> tuple:
+        """Equivalence key; the stored degree is not part of it."""
+        if self._key is None:
+            key = ("qual", self.name, _expr_key(self.verification))
+            object.__setattr__(self, "_key", key)
+        return self._key
 
 
 Property = Union[QuantitativeProperty, QualitativeProperty]
@@ -130,6 +177,7 @@ class Method:
     name: str
     parameters: tuple = ()
     body: Expr | None = None
+    _key: tuple | None = _cache_field()
 
     def __post_init__(self):
         if not self.name:
@@ -148,6 +196,14 @@ class Method:
     @property
     def arity(self) -> int:
         return len(self.parameters)
+
+    @property
+    def key(self) -> tuple:
+        """Equivalence key; parameter names are not part of it."""
+        if self._key is None:
+            key = ("method", self.name, self.arity, _expr_key(self.body))
+            object.__setattr__(self, "_key", key)
+        return self._key
 
 
 @dataclass(frozen=True)
@@ -183,6 +239,17 @@ class Signature:
         return None
 
 
+def _member_keys(part) -> frozenset:
+    """The set of the members' equivalence keys, computed once."""
+    keys = part._keys
+    if keys is None:
+        keys = frozenset(
+            [p.key for p in part.specification] + [m.key for m in part.signature]
+        )
+        object.__setattr__(part, "_keys", keys)
+    return keys
+
+
 @dataclass(frozen=True)
 class ObjectInstance:
     """Concrete object: identifier, clone index (0 = original),
@@ -192,6 +259,7 @@ class ObjectInstance:
     specification: Specification = field(default_factory=Specification)
     signature: Signature = field(default_factory=Signature)
     clone_index: int = 0
+    _keys: frozenset | None = _cache_field()
 
     def __post_init__(self):
         if not self.identifier:
@@ -214,6 +282,8 @@ class ObjectInstance:
             return f"{self.identifier}#{self.clone_index}"
         return self.identifier
 
+    member_keys = property(_member_keys)
+
 
 @dataclass(frozen=True)
 class Core:
@@ -221,9 +291,12 @@ class Core:
 
     specification: Specification = field(default_factory=Specification)
     signature: Signature = field(default_factory=Signature)
+    _keys: frozenset | None = _cache_field()
 
     def __len__(self) -> int:
         return len(self.specification) + len(self.signature)
+
+    member_keys = property(_member_keys)
 
 
 @dataclass(frozen=True)
@@ -233,6 +306,7 @@ class Projection:
     source_label: str
     specification: Specification = field(default_factory=Specification)
     signature: Signature = field(default_factory=Signature)
+    _keys: frozenset | None = _cache_field()
 
     def __post_init__(self):
         if not self.source_label:
@@ -241,6 +315,8 @@ class Projection:
             raise ModelError(
                 f"projection {self.source_label!r} must hold at least one member"
             )
+
+    member_keys = property(_member_keys)
 
 
 @dataclass(frozen=True)
@@ -290,62 +366,23 @@ def require_homogeneous(t: ClassDef, context: str) -> Core:
 
 # --- equivalence judgments ---------------------------------------------------
 
-
-def property_equivalent(a: Property, b: Property) -> bool:
-    """Name + units for quantitative pairs (values abstract over instances);
-    name + verification normal form for qualitative pairs; mixed kinds
-    are never equivalent."""
-    if isinstance(a, QuantitativeProperty) and isinstance(b, QuantitativeProperty):
-        return a.name == b.name and a.units == b.units
-    if isinstance(a, QualitativeProperty) and isinstance(b, QualitativeProperty):
-        if a.name != b.name:
-            return False
-        if a.verification is None and b.verification is None:
-            return True
-        if a.verification is None or b.verification is None:
-            return False
-        return expr_equal(a.verification, b.verification)
-    return False
-
-
-def method_equivalent(a: Method, b: Method) -> bool:
-    if a.name != b.name or a.arity != b.arity:
-        return False
-    if a.body is None and b.body is None:
-        return True
-    if a.body is None or b.body is None:
-        return False
-    return expr_equal(a.body, b.body)
-
-
 Member = Union[QuantitativeProperty, QualitativeProperty, Method]
 
 
 def member_equivalent(a: Member, b: Member) -> bool:
-    if isinstance(a, Method) and isinstance(b, Method):
-        return method_equivalent(a, b)
-    if isinstance(a, Method) or isinstance(b, Method):
-        return False
-    return property_equivalent(a, b)
+    """Equal equivalence keys: name + units for quantitative pairs (values
+    abstract over instances); name + verification normal form for
+    qualitative pairs; name + arity + body normal form for methods; mixed
+    kinds are never equivalent."""
+    return a.key == b.key
 
 
-def _specs_equivalent(a: Specification, b: Specification) -> bool:
-    if set(a.names) != set(b.names):
-        return False
-    return all(property_equivalent(p, b.get(p.name)) for p in a)
-
-
-def _sigs_equivalent(a: Signature, b: Signature) -> bool:
-    if set(a.names) != set(b.names):
-        return False
-    return all(method_equivalent(m, b.get(m.name)) for m in a)
+property_equivalent = method_equivalent = member_equivalent
 
 
 def objects_similar(a: ObjectInstance, b: ObjectInstance) -> bool:
     """Same properties and same behavior, order-insensitive by name."""
-    return _specs_equivalent(a.specification, b.specification) and _sigs_equivalent(
-        a.signature, b.signature
-    )
+    return a.member_keys == b.member_keys
 
 
 # --- satisfaction and subsumption -------------------------------------------
@@ -396,114 +433,58 @@ def _method_score(o: ObjectInstance, m: Method) -> float:
     own = o.signature.get(m.name)
     if own is None or own.arity != m.arity:
         return 0.0
-    if m.body is None:
-        return 1.0  # abstract requirement: name + arity suffice
-    if own.body is not None and expr_equal(own.body, m.body):
-        return 1.0
-    return 0.0
-
-
-def _contains_members(container: ClassDef, contained: ClassDef) -> bool:
-    """True iff every member of `contained` has an equivalent member in
-    `container` (both core-only)."""
-    big = require_homogeneous(container, "subsumes")
-    small = require_homogeneous(contained, "subsumes")
-    for p in small.specification:
-        other = big.specification.get(p.name)
-        if other is None or not property_equivalent(p, other):
-            return False
-    for m in small.signature:
-        other = big.signature.get(m.name)
-        if other is None or not method_equivalent(m, other):
-            return False
-    return True
+    # An abstract requirement is met by name + arity alone.
+    return 1.0 if m.body is None or own.key == m.key else 0.0
 
 
 def subsumes(general: ClassDef, specific: ClassDef) -> bool:
     """Proper structural subsumption: every member of `general` has an
     equivalent in `specific`, and the two are not member-for-member
     equivalent."""
-    if not _contains_members(specific, general):
-        return False
-    return not _contains_members(general, specific)
+    s = require_homogeneous(specific, "subsumes")
+    g = require_homogeneous(general, "subsumes")
+    return g.member_keys < s.member_keys
 
 
 # --- structural comparisons used for deduplication --------------------------
 
 
-def _core_pair_member_equivalent(
-    a_spec: Specification, a_sig: Signature, b_spec: Specification, b_sig: Signature
-) -> bool:
-    return _specs_equivalent(a_spec, b_spec) and _sigs_equivalent(a_sig, b_sig)
+def _parts(t: ClassDef) -> tuple:
+    return (t.core, *t.projections)
+
+
+def _keys(part) -> frozenset | None:
+    return None if part is None else part.member_keys
 
 
 def classes_member_equivalent(a: ClassDef, b: ClassDef) -> bool:
     """Member-for-member equivalence (value-abstracting, order-insensitive
     by name; projection labels ignored, projection order significant)."""
-    if (a.core is None) != (b.core is None):
-        return False
-    if a.core is not None and not _core_pair_member_equivalent(
-        a.core.specification, a.core.signature, b.core.specification, b.core.signature
-    ):
-        return False
-    if len(a.projections) != len(b.projections):
-        return False
-    return all(
-        _core_pair_member_equivalent(
-            pa.specification, pa.signature, pb.specification, pb.signature
-        )
-        for pa, pb in zip(a.projections, b.projections)
+    pa, pb = _parts(a), _parts(b)
+    return len(pa) == len(pb) and all(_keys(x) == _keys(y) for x, y in zip(pa, pb))
+
+
+def _state(part) -> frozenset:
+    """Each member's key with its value, degree or parameter names."""
+    return frozenset(
+        [
+            (p.key, p.value if isinstance(p, QuantitativeProperty) else p.degree)
+            for p in part.specification
+        ]
+        + [(m.key, m.parameters) for m in part.signature]
     )
-
-
-def _property_state_equal(a: Property, b: Property) -> bool:
-    if not property_equivalent(a, b):
-        return False
-    if isinstance(a, QuantitativeProperty):
-        return a.value == b.value
-    assert isinstance(b, QualitativeProperty)
-    return a.degree == b.degree
-
-
-def _method_state_equal(a: Method, b: Method) -> bool:
-    return a.parameters == b.parameters and method_equivalent(a, b)
-
-
-def _spec_state_equal(a: Specification, b: Specification) -> bool:
-    if set(a.names) != set(b.names):
-        return False
-    return all(_property_state_equal(p, b.get(p.name)) for p in a)
-
-
-def _sig_state_equal(a: Signature, b: Signature) -> bool:
-    if set(a.names) != set(b.names):
-        return False
-    return all(_method_state_equal(m, b.get(m.name)) for m in a)
 
 
 def class_state_equal(a: ClassDef, b: ClassDef) -> bool:
     """Structural equality including class-level constrained values and
     stored degrees; names and projection labels ignored.  Used to decide
     whether a derived class duplicates an existing node."""
-    if (a.core is None) != (b.core is None):
-        return False
-    if a.core is not None and not (
-        _spec_state_equal(a.core.specification, b.core.specification)
-        and _sig_state_equal(a.core.signature, b.core.signature)
-    ):
-        return False
-    if len(a.projections) != len(b.projections):
-        return False
-    return all(
-        _spec_state_equal(pa.specification, pb.specification)
-        and _sig_state_equal(pa.signature, pb.signature)
-        for pa, pb in zip(a.projections, b.projections)
+    return classes_member_equivalent(a, b) and all(
+        x is None or _state(x) == _state(y) for x, y in zip(_parts(a), _parts(b))
     )
 
 
 def object_state_equal(a: ObjectInstance, b: ObjectInstance) -> bool:
     """Structural equality of state (values and degrees included),
     ignoring identifier and clone index."""
-    return _spec_state_equal(a.specification, b.specification) and _sig_state_equal(
-        a.signature, b.signature
-    )
+    return a.member_keys == b.member_keys and _state(a) == _state(b)

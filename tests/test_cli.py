@@ -44,6 +44,18 @@ class TestValidate:
         assert main(["validate", str(path)]) == 2
         assert "$.classes[0].name" in capsys.readouterr().err
 
+    def test_non_finite_literal(self, tmp_path, capsys):
+        body = '"body": "sum(self.side_sizes.values)"'
+        text = fixture_text("polygons.oodn.json").replace(
+            body, body[:-1] + " * 1" + "0" * 400 + '"', 1
+        )
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        for argv in (["validate", str(path)], ["infer", str(path), "--out", str(path)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "number out of range" in err
+
     def test_deterministic_output(self, polygons_path, capsys):
         main(["validate", polygons_path])
         first = capsys.readouterr().out

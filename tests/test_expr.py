@@ -98,6 +98,13 @@ class TestParse:
         with pytest.raises(ExprSyntaxError):
             parse("sum(x, y)")
 
+    @pytest.mark.parametrize(
+        "source", ["1" + "0" * 400, "1e400", "-1e400"], ids=["digits", "exp", "neg"]
+    )
+    def test_non_finite_literal_rejected(self, source):
+        with pytest.raises(ExprSyntaxError, match="out of range"):
+            parse(f"x * {source}")
+
 
 class TestPrint:
     def test_minimal_parentheses(self):
@@ -142,6 +149,12 @@ class TestNormalize:
     def test_division_by_zero_stays_symbolic(self):
         e = normalize(parse("1 / 0"))
         assert e == Arith("/", Num(1.0), Num(0.0))
+
+    @pytest.mark.parametrize("source", ["1e308 * 10", "1e308 + 1e308", "1e308 / 0.1"])
+    def test_overflow_stays_symbolic(self, source):
+        e = normalize(parse(source))
+        assert isinstance(e, Arith)
+        assert parse(print_expr(e)) == e
 
     def test_double_negation(self):
         assert normalize(parse("not (not (x > 0))")) == normalize(parse("x > 0"))

@@ -54,6 +54,21 @@ class TestLoad:
         with pytest.raises(LoadError, match="unsupported format"):
             load_text(doc(format="oodn/999"))
 
+    @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN", "true", "[1, Infinity]"])
+    def test_value_must_be_a_finite_number(self, value):
+        text = doc(
+            objects=[
+                {
+                    "identifier": "o",
+                    "properties": [{"name": "p", "kind": "quantitative", "units": "cm"}],
+                    "methods": [],
+                }
+            ]
+        ).replace('"units": "cm"', f'"units": "cm", "value": {value}')
+        with pytest.raises(LoadError) as exc:
+            load_text(text)
+        assert "$.objects[0].properties[0]" in str(exc.value)
+
     def test_bad_expression_has_path(self):
         bad = doc(
             classes=[

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 
@@ -30,6 +32,17 @@ class TestValidation:
     def test_quantitative_list_coerced(self):
         p = QuantitativeProperty("p", "cm", [1, 2])
         assert p.value == (1.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "value", [math.inf, -math.inf, math.nan, True, [1.0, math.nan], [False]]
+    )
+    def test_value_must_be_finite_number(self, value):
+        with pytest.raises(ModelError):
+            QuantitativeProperty("p", "cm", value)
+
+    def test_bool_degree_rejected(self):
+        with pytest.raises(ModelError):
+            QualitativeProperty("q", degree=True)
 
     def test_empty_list_rejected(self):
         with pytest.raises(ModelError):
