@@ -382,11 +382,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
+    except (OSError, OodnError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except OodnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a defect: still one line and exit 2, never a traceback
+        message = " ".join(str(exc).split())
+        print(f"error: internal error ({type(exc).__name__}): {message}", file=sys.stderr)
         return EXIT_ERROR
 
 

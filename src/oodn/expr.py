@@ -72,6 +72,10 @@ CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 class Num:
     value: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ExprError(f"number {self.value} is not finite")
+
 
 @dataclass(frozen=True)
 class Text:
@@ -313,11 +317,21 @@ def _escape(s: str) -> str:
 
 # --- parser ------------------------------------------------------------------
 
+# Limits on one expression (see docs/grammar.md).  Together they bound the
+# parser's recursion and the depth of every tree it returns, so that the
+# recursive tree walkers stay well inside the interpreter's recursion
+# limit.  Printing a tree never adds levels or operators, so printed text
+# always parses again.
+MAX_DEPTH = 64
+MAX_OPERATORS = 128
+
 
 class _Parser:
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.depth = 0
+        self.operators = 0
 
     @property
     def cur(self) -> _Token:
@@ -338,6 +352,25 @@ class _Parser:
 
     def at_word(self, *words: str) -> bool:
         return self.cur.kind == "ident" and self.cur.text in words
+
+    def nest(self) -> None:
+        """Enter one level of recursion; the caller leaves it."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            tok = self.cur
+            raise ExprSyntaxError(
+                f"expression nested more than {MAX_DEPTH} levels deep", tok.line, tok.column
+            )
+
+    def operator(self) -> _Token:
+        """Consume an arithmetic, comparison or connective operator."""
+        self.operators += 1
+        if self.operators > MAX_OPERATORS:
+            tok = self.cur
+            raise ExprSyntaxError(
+                f"expression has more than {MAX_OPERATORS} operators", tok.line, tok.column
+            )
+        return self.advance()
 
     def expect_op(self, symbol: str) -> None:
         if not self.at_op(symbol):
@@ -361,6 +394,7 @@ class _Parser:
         return e
 
     def expr(self) -> Expr:
+        self.nest()
         if self.at_word("if"):
             self.advance()
             cond = self.expr()
@@ -368,54 +402,62 @@ class _Parser:
             then = self.expr()
             self.expect_word("else")
             orelse = self.expr()
-            return If(cond, then, orelse)
-        return self.orexpr()
+            e = If(cond, then, orelse)
+        else:
+            e = self.orexpr()
+        self.depth -= 1
+        return e
 
     def orexpr(self) -> Expr:
         e = self.andexpr()
         while self.at_word("or"):
-            self.advance()
+            self.operator()
             e = Connective("or", e, self.andexpr())
         return e
 
     def andexpr(self) -> Expr:
         e = self.notexpr()
         while self.at_word("and"):
-            self.advance()
+            self.operator()
             e = Connective("and", e, self.notexpr())
         return e
 
     def notexpr(self) -> Expr:
         if self.at_word("not"):
             self.advance()
-            return Not(self.notexpr())
+            self.nest()
+            e = Not(self.notexpr())
+            self.depth -= 1
+            return e
         return self.comparison()
 
     def comparison(self) -> Expr:
         e = self.additive()
         if self.cur.kind == "op" and self.cur.text in CMP_OPS:
-            op = self.advance().text
+            op = self.operator().text
             e = Compare(op, e, self.additive())
         return e
 
     def additive(self) -> Expr:
         e = self.multiplicative()
         while self.at_op("+", "-"):
-            op = self.advance().text
+            op = self.operator().text
             e = Arith(op, e, self.multiplicative())
         return e
 
     def multiplicative(self) -> Expr:
         e = self.unary()
         while self.at_op("*", "/"):
-            op = self.advance().text
+            op = self.operator().text
             e = Arith(op, e, self.unary())
         return e
 
     def unary(self) -> Expr:
         if self.at_op("-"):
-            self.advance()
+            self.operator()
+            self.nest()
             operand = self.unary()
+            self.depth -= 1
             if isinstance(operand, Num):
                 return Num(-operand.value)
             return Arith("-", Num(0.0), operand)
@@ -543,10 +585,9 @@ def _render(e: Expr) -> str:
     if isinstance(e, Aggregate):
         return f"{e.fn}({_render(e.arg)})"
     if isinstance(e, If):
-        c = _child(e.condition, _PREC_OR, tight=False)
-        t = _child(e.then, _PREC_OR, tight=False)
-        o = _child(e.orelse, _PREC_OR, tight=False)
-        return f"if {c} then {t} else {o}"
+        # `then` and `else` delimit the parts, so no part needs
+        # parentheses; adding them would add nesting levels.
+        return f"if {_render(e.condition)} then {_render(e.then)} else {_render(e.orelse)}"
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -180,12 +180,11 @@ def _load_edit(doc, path: str):
     _expect(doc, dict, path, "an edit object")
     kind = _get(doc, "edit", str, path, "a string")
     if kind == "setValue":
+        prop = _get(doc, "property", str, path, "a string")
         value = doc.get("value")
-        if isinstance(value, list):
-            value = tuple(value)
-        elif not isinstance(value, (int, float)) or isinstance(value, bool):
+        if value is None:
             raise LoadError("expected a number or a list of numbers", f"{path}.value")
-        return SetValue(_get(doc, "property", str, path, "a string"), value)
+        return _wrap(f"{path}.value", SetValue, prop, value)
     if kind == "setUnits":
         return SetUnits(
             _get(doc, "property", str, path, "a string"),

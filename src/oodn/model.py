@@ -18,6 +18,7 @@ top of equal key sets.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
@@ -41,7 +42,7 @@ class ModelError(OodnError):
 
 
 def _coerce_number(v) -> float:
-    if isinstance(v, bool):
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise ModelError(f"expected a number, got {v!r}")
     f = float(v)
     if not math.isfinite(f):
@@ -49,7 +50,9 @@ def _coerce_number(v) -> float:
     return f
 
 
-def _coerce_value(value) -> float | tuple | None:
+def coerce_value(value) -> float | tuple | None:
+    """A quantitative value (of a property or a setValue edit): None, a
+    finite number, or a nonempty list of them; a bool is not a number."""
     if value is None:
         return None
     if isinstance(value, (list, tuple)):
@@ -65,10 +68,11 @@ def _expr_key(e: Expr | None) -> str | None:
 
 
 def _cache_field():
-    """A declared field for a value computed on first use and stored with
-    `object.__setattr__`.  `functools.cached_property` would write through
-    the instance `__dict__`, which on CPython 3.11 makes every later
-    attribute read of that instance about twice as slow."""
+    """A declared field for a derived value, stored with
+    `object.__setattr__` at construction or on first use.
+    `functools.cached_property` would write through the instance
+    `__dict__`, which on CPython 3.11 makes every later attribute read of
+    that instance about twice as slow."""
     return field(default=None, init=False, repr=False, compare=False)
 
 
@@ -87,7 +91,7 @@ class QuantitativeProperty:
             raise ModelError("property name must be nonempty")
         if not self.units:
             raise ModelError(f"property {self.name!r}: units must be nonempty")
-        object.__setattr__(self, "value", _coerce_value(self.value))
+        object.__setattr__(self, "value", coerce_value(self.value))
 
     @property
     def key(self) -> tuple:
@@ -142,16 +146,18 @@ class Specification:
     """Ordered property list with pairwise-distinct names."""
 
     members: tuple = ()
+    _by_name: dict | None = _cache_field()
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
-        seen = set()
+        by_name = {}
         for p in self.members:
             if not isinstance(p, (QuantitativeProperty, QualitativeProperty)):
                 raise ModelError(f"not a property: {p!r}")
-            if p.name in seen:
+            if p.name in by_name:
                 raise ModelError(f"duplicate property name {p.name!r}")
-            seen.add(p.name)
+            by_name[p.name] = p
+        object.__setattr__(self, "_by_name", by_name)
 
     def __iter__(self) -> Iterator[Property]:
         return iter(self.members)
@@ -164,10 +170,7 @@ class Specification:
         return tuple(p.name for p in self.members)
 
     def get(self, name: str) -> Property | None:
-        for p in self.members:
-            if p.name == name:
-                return p
-        return None
+        return self._by_name.get(name)
 
 
 @dataclass(frozen=True)
@@ -211,16 +214,18 @@ class Signature:
     """Ordered method list with pairwise-distinct names."""
 
     methods: tuple = ()
+    _by_name: dict | None = _cache_field()
 
     def __post_init__(self):
         object.__setattr__(self, "methods", tuple(self.methods))
-        seen = set()
+        by_name = {}
         for m in self.methods:
             if not isinstance(m, Method):
                 raise ModelError(f"not a method: {m!r}")
-            if m.name in seen:
+            if m.name in by_name:
                 raise ModelError(f"duplicate method name {m.name!r}")
-            seen.add(m.name)
+            by_name[m.name] = m
+        object.__setattr__(self, "_by_name", by_name)
 
     def __iter__(self) -> Iterator[Method]:
         return iter(self.methods)
@@ -233,10 +238,7 @@ class Signature:
         return tuple(m.name for m in self.methods)
 
     def get(self, name: str) -> Method | None:
-        for m in self.methods:
-            if m.name == name:
-                return m
-        return None
+        return self._by_name.get(name)
 
 
 def _member_keys(part) -> frozenset:
@@ -393,18 +395,26 @@ def satisfies(o: ObjectInstance, t: ClassDef, threshold: float = 1.0) -> float:
     minimum over per-member scores.  Callers compare the result against
     `threshold` for a crisp instance-of decision."""
     core = require_homogeneous(t, "satisfies")
-    if not 0.0 < threshold <= 1.0:
-        raise ModelError(f"threshold must lie in (0, 1], got {threshold}")
+    check_threshold(threshold)
     score = 1.0
-    for p in core.specification:
-        score = min(score, _property_score(o, p))
-        if score == 0.0:
-            return 0.0
-    for m in core.signature:
-        score = min(score, _method_score(o, m))
+    for m in (*core.specification, *core.signature):
+        score = min(score, member_score(o, m))
         if score == 0.0:
             return 0.0
     return score
+
+
+def check_threshold(threshold: float) -> None:
+    if not 0.0 < threshold <= 1.0:
+        raise ModelError(f"threshold must lie in (0, 1], got {threshold}")
+
+
+def member_score(o: ObjectInstance, m: Member) -> float:
+    """Degree to which `o` meets one class member; depends only on `o` and
+    the member's value."""
+    if isinstance(m, Method):
+        return _method_score(o, m)
+    return _property_score(o, m)
 
 
 def _property_score(o: ObjectInstance, p: Property) -> float:

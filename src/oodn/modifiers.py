@@ -26,6 +26,7 @@ from .model import (
     QuantitativeProperty,
     Signature,
     Specification,
+    coerce_value,
     require_homogeneous,
 )
 
@@ -41,6 +42,9 @@ class ModifierError(OodnError):
 class SetValue:
     property_name: str
     value: float | tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", coerce_value(self.value))
 
 
 @dataclass(frozen=True)

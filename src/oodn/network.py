@@ -10,7 +10,7 @@ links to that node instead of adding a twin.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import OodnError
@@ -26,9 +26,11 @@ from .exploiters import (
 from .model import (
     ClassDef,
     ObjectInstance,
+    check_threshold,
     class_state_equal,
+    member_score,
     object_state_equal,
-    satisfies,
+    satisfies,  # noqa: F401 - perfbench/spans.py traces oodn.network.satisfies
     subsumes,
 )
 from .modifiers import CLASS, OBJECT, Modifier, apply_to_class, apply_to_object
@@ -112,6 +114,8 @@ class Network:
     relations: tuple = ()
     exploiters: frozenset = EXPLOITER_NAMES
     modifiers: tuple = ()
+    # (node, "out" | "in") -> [(kind, other end)], built by the first query.
+    _adjacency: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "objects", tuple(self.objects))
@@ -239,26 +243,46 @@ def infer_relations(n: Network, threshold: float = 1.0) -> tuple:
     """Structural relations entailed by the current nodes: one
     subsumption edge (a-kind-of) per subsuming class pair, transitive
     pairs included, plus instance-of edges to each object's most
-    specific satisfied classes."""
+    specific satisfied classes.
+
+    Equal class members share one slot, scored at most once per object,
+    so the result equals `satisfies(o, t, threshold) >= threshold` per
+    pair without re-evaluating a member that several classes list."""
     homogeneous = [t for t in n.classes if t.is_homogeneous]
     edges = []
-    for general in homogeneous:
-        for specific in homogeneous:
-            if general is specific:
-                continue
-            if subsumes(general, specific):
+    subsuming = set()
+    for i, general in enumerate(homogeneous):
+        for j, specific in enumerate(homogeneous):
+            if i != j and subsumes(general, specific):
+                subsuming.add((i, j))
                 edges.append(
                     Relation(class_ref(specific), class_ref(general), "a-kind-of", "inferred")
                 )
+    if n.objects and homogeneous:
+        check_threshold(threshold)
+    slots = {}
+    rows = [
+        [slots.setdefault(m, len(slots)) for m in (*t.core.specification, *t.core.signature)]
+        for t in homogeneous
+    ]
+    members = list(slots)
     for o in n.objects:
-        satisfied = [t for t in homogeneous if satisfies(o, t, threshold) >= threshold]
-        for t in satisfied:
-            more_specific = [
-                u for u in satisfied if u is not t and subsumes(t, u)
-            ]
-            if not more_specific:
+        scores = [None] * len(members)
+        satisfied = []
+        for i, row in enumerate(rows):
+            score = 1.0
+            for s in row:
+                if scores[s] is None:
+                    scores[s] = member_score(o, members[s])
+                score = min(score, scores[s])
+                if score == 0.0:
+                    break
+            if score >= threshold:
+                satisfied.append(i)
+        for i in satisfied:
+            if not any((i, j) in subsuming for j in satisfied):
                 edges.append(
-                    Relation(object_ref(o), class_ref(t), "instance-of", "inferred")
+                    Relation(object_ref(o), class_ref(homogeneous[i]), "instance-of", "inferred")
                 )
     return tuple(sorted(edges, key=Relation.sort_key))
 
@@ -449,72 +473,55 @@ def apply_exploiter(
 # --- queries -----------------------------------------------------------------
 
 
-def _kind_matches(edge_kind: str, query_kind: str | None) -> bool:
-    if query_kind is None:
-        return True
-    if query_kind in _SUBSUMPTION_KINDS:
-        return edge_kind in _SUBSUMPTION_KINDS
-    return edge_kind == query_kind
+def _walk(n: Network, ref: NodeRef, kind: str | None, direction: str, transitive: bool) -> tuple:
+    """Nodes one edge (or, if transitive, any number of edges) away from
+    `ref` along edges of `kind` (None: any kind; is-a and a-kind-of
+    match each other), sorted by name.  The start node is included only
+    when it is reached again."""
+    n.resolve(ref)
+    if direction not in ("out", "in", "both"):
+        raise NetworkError(f"unknown direction {direction!r}")
+    directions = ("out", "in") if direction == "both" else (direction,)
+    kinds = _SUBSUMPTION_KINDS if kind in _SUBSUMPTION_KINDS else {kind}
+    adjacency = n._adjacency
+    if adjacency is None:
+        adjacency = {}
+        for r in n.relations:
+            adjacency.setdefault((r.source, "out"), []).append((r.kind, r.target))
+            adjacency.setdefault((r.target, "in"), []).append((r.kind, r.source))
+        object.__setattr__(n, "_adjacency", adjacency)
+    seen = set()
+    frontier = [ref]
+    while frontier:
+        current = frontier.pop()
+        for d in directions:
+            for edge_kind, other in adjacency.get((current, d), ()):
+                if other not in seen and (kind is None or edge_kind in kinds):
+                    seen.add(other)
+                    if transitive:
+                        frontier.append(other)
+    return tuple(sorted(seen, key=NodeRef.sort_key))
 
 
 def neighbors(
     n: Network, ref: NodeRef, kind: str | None = None, direction: str = "out"
 ) -> tuple:
     """Directly connected nodes, sorted by name; direction in {out, in, both}."""
-    n.resolve(ref)
-    if direction not in ("out", "in", "both"):
-        raise NetworkError(f"unknown direction {direction!r}")
-    found = set()
-    for r in n.relations:
-        if not _kind_matches(r.kind, kind):
-            continue
-        if direction in ("out", "both") and r.source == ref:
-            found.add(r.target)
-        if direction in ("in", "both") and r.target == ref:
-            found.add(r.source)
-    return tuple(sorted(found, key=NodeRef.sort_key))
+    return _walk(n, ref, kind, direction, transitive=False)
 
 
 def reachable(n: Network, ref: NodeRef, kind: str) -> tuple:
     """Transitive closure along edges of the given kind, excluding the
     start node unless it lies on a cycle."""
-    n.resolve(ref)
-    seen = set()
-    frontier = [ref]
-    while frontier:
-        current = frontier.pop()
-        for r in n.relations:
-            if r.source == current and _kind_matches(r.kind, kind):
-                if r.target not in seen:
-                    seen.add(r.target)
-                    frontier.append(r.target)
-    return tuple(sorted(seen, key=NodeRef.sort_key))
+    return _walk(n, ref, kind, "out", transitive=True)
 
 
 def instances_of(n: Network, class_name: str) -> tuple:
     """Objects with an instance-of edge to the class, sorted by name."""
-    ref = NodeRef(CLASS, class_name)
-    n.resolve(ref)
-    found = {
-        r.source
-        for r in n.relations
-        if r.kind == "instance-of" and r.target == ref
-    }
-    return tuple(sorted(found, key=NodeRef.sort_key))
+    return _walk(n, NodeRef(CLASS, class_name), "instance-of", "in", transitive=False)
 
 
 def subclasses_of(n: Network, class_name: str) -> tuple:
     """Classes reaching the given class along subsumption edges
     (is-a / a-kind-of treated as aliases), sorted by name."""
-    ref = NodeRef(CLASS, class_name)
-    n.resolve(ref)
-    seen = set()
-    frontier = [ref]
-    while frontier:
-        current = frontier.pop()
-        for r in n.relations:
-            if r.target == current and r.kind in _SUBSUMPTION_KINDS:
-                if r.source not in seen:
-                    seen.add(r.source)
-                    frontier.append(r.source)
-    return tuple(sorted(seen, key=NodeRef.sort_key))
+    return _walk(n, NodeRef(CLASS, class_name), "a-kind-of", "in", transitive=True)

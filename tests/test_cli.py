@@ -56,6 +56,24 @@ class TestValidate:
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and "number out of range" in err
 
+    def test_deep_nesting(self, tmp_path, capsys):
+        source = "all_equal(self.side_sizes.values)"
+        deep = "(" * 3000 + source + ")" * 3000
+        path = tmp_path / "deep.json"
+        path.write_text(fixture_text("polygons.oodn.json").replace(source, deep, 1))
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "nested more than" in err and "Traceback" not in err
+
+    def test_unexpected_exception(self, polygons_path, capsys, monkeypatch):
+        def broken(path):
+            raise RuntimeError("first line\nsecond line")
+
+        monkeypatch.setattr("oodn.cli.load_file", broken)
+        assert main(["validate", polygons_path]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: internal error (RuntimeError): first line second line\n"
+
     def test_deterministic_output(self, polygons_path, capsys):
         main(["validate", polygons_path])
         first = capsys.readouterr().out

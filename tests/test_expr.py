@@ -8,8 +8,11 @@ from oodn.expr import (
     Arith,
     Compare,
     Connective,
+    MAX_DEPTH,
+    MAX_OPERATORS,
     EvalContext,
     EvalError,
+    ExprError,
     ExprSyntaxError,
     If,
     Not,
@@ -25,6 +28,8 @@ from oodn.expr import (
     parse,
     print_expr,
 )
+
+from oodn.model import Method
 
 from .helpers import obj, qprop, qual
 from .strategies import expressions
@@ -104,6 +109,60 @@ class TestParse:
     def test_non_finite_literal_rejected(self, source):
         with pytest.raises(ExprSyntaxError, match="out of range"):
             parse(f"x * {source}")
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "(" * 3000 + "x" + ")" * 3000,
+            "not " * 3000 + "x",
+            "-" * 3000 + "x",
+            "if 1 > 0 then " * 3000 + "x" + " else 0" * 3000,
+            "sum(" * 3000 + "self.p.values" + ")" * 3000,
+        ],
+        ids=["parens", "not", "minus", "if", "aggregate"],
+    )
+    def test_nesting_limit(self, source):
+        with pytest.raises(ExprSyntaxError, match=f"nested more than {MAX_DEPTH} levels"):
+            parse(source)
+
+    def test_operator_limit(self):
+        assert parse(" + ".join(["x"] * (MAX_OPERATORS + 1)))
+        with pytest.raises(ExprSyntaxError, match=f"more than {MAX_OPERATORS} operators"):
+            parse(" * ".join(["x"] * (MAX_OPERATORS + 2)))
+
+    # The whole expression is level 1.  Printing writes `-e` as `0 - e`
+    # and drops parentheses, and the printed text must parse again.
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "(" * (MAX_DEPTH - 1) + "x" + ")" * (MAX_DEPTH - 1),
+            "-" * (MAX_DEPTH - 1) + "x",
+            "not " * (MAX_DEPTH - 2) + "(x > 0)",
+            "if x > 0 then " * (MAX_DEPTH - 1) + "x" + " else 0" * (MAX_DEPTH - 1),
+            "if " * (MAX_DEPTH - 1) + "x > 0" + " then 1 else 0" * (MAX_DEPTH - 1),
+            "x + (" * (MAX_DEPTH - 1) + " - ".join(["x"] * 66) + ")" * (MAX_DEPTH - 1),
+        ],
+        ids=["parens", "minus", "not", "if-then", "if-condition", "tallest"],
+    )
+    def test_deepest_accepted_trees(self, source):
+        e = parse(source)
+        assert parse(print_expr(e)) == e
+        # The recursive tree walkers handle every tree the parser returns.
+        assert print_expr(normalize(e)) and hash(e) is not None
+        assert infer_sort(e) in (Sort.NUMBER, Sort.DEGREE)
+        value = evaluate(e, EvalContext(subject=obj("o", qprop("p", value=1.0)), arguments={"x": 1.0}))
+        assert math.isfinite(value)
+
+
+class TestNum:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ExprError, match="not finite"):
+            Num(value)
+
+    def test_method_body_through_the_api(self):
+        with pytest.raises(ExprError, match="not finite"):
+            Method("f", ("x",), Arith("*", ParamRef("x"), Num(math.inf)))
 
 
 class TestPrint:

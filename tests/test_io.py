@@ -121,6 +121,21 @@ class TestLoad:
         with pytest.raises(LoadError, match="unknown property kind"):
             load_text(bad)
 
+    @pytest.mark.parametrize("value", ["Infinity", "NaN", "[true]", "[]", '["a"]', "null"])
+    def test_set_value_must_be_finite_numbers(self, value):
+        edit = {"edit": "setValue", "property": "p", "value": None}
+        text = doc(modifiers=[{"name": "m", "target": "class", "edits": [edit]}])
+        with pytest.raises(LoadError) as exc:
+            load_text(text.replace('"value": null', f'"value": {value}'))
+        assert "$.modifiers[0].edits[0].value" in str(exc.value)
+
+    def test_set_value_round_trip(self):
+        edit = {"edit": "setValue", "property": "p", "value": [1, 2.5]}
+        n = load_text(doc(modifiers=[{"name": "m", "target": "class", "edits": [edit]}]))
+        assert n.modifiers[0].edits[0].value == (1.0, 2.5)
+        saved = save_text(n)
+        assert save_text(load_text(saved)) == saved
+
     def test_unknown_edit_kind(self):
         bad = doc(modifiers=[{"name": "m", "target": "class", "edits": [{"edit": "zap"}]}])
         with pytest.raises(LoadError, match="unknown edit kind"):
