@@ -26,7 +26,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterator, Mapping, Union
+from typing import Any, Iterator, Mapping, NoReturn, Union
 
 from .errors import OodnError
 
@@ -259,39 +259,25 @@ _TOKEN_RE = re.compile(
     | (?P<string>"(?:[^"\\]|\\.)*")
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<op><=|>=|==|!=|[<>+\-*/().,])
+    | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # number | string | ident | op | eof
-    text: str
-    line: int
-    column: int
+def _tokenize(source: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) of each token, ending with an "eof" token.
 
-
-def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ExprSyntaxError(f"unexpected character {source[pos]!r}", line, col)
-        kind = m.lastgroup
-        text = m.group()
-        if kind != "ws":
-            tokens.append(_Token(kind, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+    A character that starts no token is a token of kind "bad", which the
+    parser reports.  `ws` takes every newline, so `bad` needs no DOTALL;
+    with it, a backslash before a newline would lex inside a string.
+    """
+    tokens = [
+        (m.lastgroup, m.group(), m.start())
+        for m in _TOKEN_RE.finditer(source)
+        if m.lastgroup != "ws"
+    ]
+    tokens.append(("eof", "", len(source)))
     return tokens
 
 
@@ -327,80 +313,84 @@ MAX_OPERATORS = 128
 
 
 class _Parser:
+    """Recursive descent over the token list.
+
+    `kind` and `text` are those of the current token.  Operator, keyword,
+    number and string texts never coincide, so most checks test `text` alone.
+    """
+
     def __init__(self, source: str):
+        self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.kind, self.text, _ = self.tokens[0]
         self.depth = 0
         self.operators = 0
 
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.cur
+    def advance(self) -> str:
+        """Consume the current token and return its text."""
+        text = self.text
         self.pos += 1
-        return tok
+        self.kind, self.text, _ = self.tokens[self.pos]
+        return text
 
-    def fail(self, message: str) -> None:
-        tok = self.cur
-        got = repr(tok.text) if tok.kind != "eof" else "end of input"
-        raise ExprSyntaxError(f"{message}, got {got}", tok.line, tok.column)
+    def error(self, message: str, offset: int | None = None) -> NoReturn:
+        """Raise at `offset`, by default the current token's.
 
-    def at_op(self, *symbols: str) -> bool:
-        return self.cur.kind == "op" and self.cur.text in symbols
+        The first bad character takes precedence wherever it stands, as if
+        the whole source were lexed before parsing.  No rule consumes a bad
+        token, so every source holding one ends here.
+        """
+        for kind, text, off in self.tokens:
+            if kind == "bad":
+                message, offset = f"unexpected character {text!r}", off
+                break
+        if offset is None:
+            offset = self.tokens[self.pos][2]
+        line = self.source.count("\n", 0, offset) + 1
+        raise ExprSyntaxError(message, line, offset - self.source.rfind("\n", 0, offset))
 
-    def at_word(self, *words: str) -> bool:
-        return self.cur.kind == "ident" and self.cur.text in words
+    def fail(self, expected: str) -> NoReturn:
+        got = repr(self.text) if self.kind != "eof" else "end of input"
+        self.error(f"expected {expected}, got {got}")
 
     def nest(self) -> None:
         """Enter one level of recursion; the caller leaves it."""
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            tok = self.cur
-            raise ExprSyntaxError(
-                f"expression nested more than {MAX_DEPTH} levels deep", tok.line, tok.column
-            )
+            self.error(f"expression nested more than {MAX_DEPTH} levels deep")
 
-    def operator(self) -> _Token:
+    def operator(self) -> str:
         """Consume an arithmetic, comparison or connective operator."""
         self.operators += 1
         if self.operators > MAX_OPERATORS:
-            tok = self.cur
-            raise ExprSyntaxError(
-                f"expression has more than {MAX_OPERATORS} operators", tok.line, tok.column
-            )
+            self.error(f"expression has more than {MAX_OPERATORS} operators")
         return self.advance()
 
-    def expect_op(self, symbol: str) -> None:
-        if not self.at_op(symbol):
-            self.fail(f"expected '{symbol}'")
-        self.advance()
-
-    def expect_word(self, word: str) -> None:
-        if not self.at_word(word):
-            self.fail(f"expected '{word}'")
+    def expect(self, text: str) -> None:
+        if self.text != text:
+            self.fail(f"'{text}'")
         self.advance()
 
     def expect_ident(self, what: str) -> str:
-        if self.cur.kind != "ident":
-            self.fail(f"expected {what}")
-        return self.advance().text
+        if self.kind != "ident":
+            self.fail(what)
+        return self.advance()
 
     def parse(self) -> Expr:
         e = self.expr()
-        if self.cur.kind != "eof":
-            self.fail("expected end of input")
+        if self.kind != "eof":
+            self.fail("end of input")
         return e
 
     def expr(self) -> Expr:
         self.nest()
-        if self.at_word("if"):
+        if self.text == "if":
             self.advance()
             cond = self.expr()
-            self.expect_word("then")
+            self.expect("then")
             then = self.expr()
-            self.expect_word("else")
+            self.expect("else")
             orelse = self.expr()
             e = If(cond, then, orelse)
         else:
@@ -410,20 +400,20 @@ class _Parser:
 
     def orexpr(self) -> Expr:
         e = self.andexpr()
-        while self.at_word("or"):
+        while self.text == "or":
             self.operator()
             e = Connective("or", e, self.andexpr())
         return e
 
     def andexpr(self) -> Expr:
         e = self.notexpr()
-        while self.at_word("and"):
+        while self.text == "and":
             self.operator()
             e = Connective("and", e, self.notexpr())
         return e
 
     def notexpr(self) -> Expr:
-        if self.at_word("not"):
+        if self.text == "not":
             self.advance()
             self.nest()
             e = Not(self.notexpr())
@@ -433,27 +423,27 @@ class _Parser:
 
     def comparison(self) -> Expr:
         e = self.additive()
-        if self.cur.kind == "op" and self.cur.text in CMP_OPS:
-            op = self.operator().text
+        if self.text in CMP_OPS:
+            op = self.operator()
             e = Compare(op, e, self.additive())
         return e
 
     def additive(self) -> Expr:
         e = self.multiplicative()
-        while self.at_op("+", "-"):
-            op = self.operator().text
+        while self.text in ("+", "-"):
+            op = self.operator()
             e = Arith(op, e, self.multiplicative())
         return e
 
     def multiplicative(self) -> Expr:
         e = self.unary()
-        while self.at_op("*", "/"):
-            op = self.operator().text
+        while self.text in ("*", "/"):
+            op = self.operator()
             e = Arith(op, e, self.unary())
         return e
 
     def unary(self) -> Expr:
-        if self.at_op("-"):
+        if self.text == "-":
             self.operator()
             self.nest()
             operand = self.unary()
@@ -464,63 +454,55 @@ class _Parser:
         return self.primary()
 
     def primary(self) -> Expr:
-        tok = self.cur
-        if tok.kind == "number":
-            value = float(tok.text)
+        kind, text = self.kind, self.text
+        if kind == "number":
+            value = float(text)
             if not math.isfinite(value):
-                raise ExprSyntaxError("number out of range", tok.line, tok.column)
+                self.error("number out of range")
             self.advance()
             return Num(value)
-        if tok.kind == "string":
+        if kind == "string":
             self.advance()
-            return Text(_unescape(tok.text))
-        if self.at_op("("):
+            return Text(_unescape(text))
+        if text == "(":
             self.advance()
             e = self.expr()
-            self.expect_op(")")
+            self.expect(")")
             return e
-        if tok.kind == "ident":
-            if tok.text == "self":
+        if kind == "ident":
+            if text == "self":
                 return self.propref()
-            if tok.text in AGGREGATES:
+            if text in AGGREGATES:
                 return self.aggregate()
-            if tok.text in _KEYWORDS:
-                self.fail("expected an expression")
-            nxt = self.tokens[self.pos + 1]
-            if nxt.kind == "op" and nxt.text == "(":
-                raise ExprSyntaxError(
-                    f"unknown function {tok.text!r}", tok.line, tok.column
-                )
+            if text in _KEYWORDS:
+                self.fail("an expression")
+            if self.tokens[self.pos + 1][1] == "(":
+                self.error(f"unknown function {text!r}")
             self.advance()
-            return ParamRef(tok.text)
-        self.fail("expected an expression")
-        raise AssertionError("unreachable")
+            return ParamRef(text)
+        self.fail("an expression")
 
     def propref(self) -> Expr:
-        self.expect_word("self")
-        self.expect_op(".")
+        self.advance()  # "self"
+        self.expect(".")
         prop = self.expect_ident("a property name")
-        self.expect_op(".")
-        tok = self.cur
+        self.expect(".")
+        offset = self.tokens[self.pos][2]
         attr = self.expect_ident("one of value/units/values/count")
         if attr not in REF_ATTRS:
-            raise ExprSyntaxError(
+            self.error(
                 f"unknown property accessor {attr!r} (expected one of {', '.join(REF_ATTRS)})",
-                tok.line,
-                tok.column,
+                offset,
             )
         return PropRef(prop, attr)
 
     def aggregate(self) -> Expr:
-        tok = self.advance()
-        fn = tok.text
-        self.expect_op("(")
+        fn = self.advance()
+        self.expect("(")
         arg = self.expr()
-        if self.at_op(","):
-            raise ExprSyntaxError(
-                f"{fn} takes exactly one argument", self.cur.line, self.cur.column
-            )
-        self.expect_op(")")
+        if self.text == ",":
+            self.error(f"{fn} takes exactly one argument")
+        self.expect(")")
         return Aggregate(fn, arg)
 
 

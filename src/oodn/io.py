@@ -286,7 +286,11 @@ def load_text(text: str) -> Network:
 
 
 def load_file(path) -> Network:
-    return load_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise LoadError(f"not UTF-8 text ({exc.reason} at byte {exc.start})", str(path)) from exc
+    return load_text(text)
 
 
 # --- saving ------------------------------------------------------------------

@@ -56,6 +56,14 @@ class TestValidate:
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and "number out of range" in err
 
+    def test_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + '{"format": "oodn/1"}'.encode("utf-16-le"))
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "internal error" not in err
+        assert str(path) in err and "not UTF-8" in err
+
     def test_deep_nesting(self, tmp_path, capsys):
         source = "all_equal(self.side_sizes.values)"
         deep = "(" * 3000 + source + ")" * 3000

@@ -2,6 +2,7 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oodn.expr import (
     Aggregate,
@@ -152,6 +153,66 @@ class TestParse:
         assert infer_sort(e) in (Sort.NUMBER, Sort.DEGREE)
         value = evaluate(e, EvalContext(subject=obj("o", qprop("p", value=1.0)), arguments={"x": 1.0}))
         assert math.isfinite(value)
+
+
+class TestErrorPosition:
+    """Syntax errors name the 1-based line and column of the offending token."""
+
+    @pytest.mark.parametrize(
+        "source, message, line, column",
+        [
+            ("x +\n  y *\n  3 @ 4", "unexpected character '@'", 3, 5),
+            ('"ab\ncd" == @', "unexpected character '@'", 2, 8),
+            ('"ab\ncd" ==\n  )', "expected an expression, got ')'", 3, 3),
+            ("x +\n", "expected an expression, got end of input", 2, 1),
+            ("x +\n  median(self.p.values)", "unknown function 'median'", 2, 3),
+            ("self.p\n  .size", "unknown property accessor 'size'", 2, 4),
+            ("sum(self.p.values\n, y)", "sum takes exactly one argument", 2, 1),
+            ("x *\n 1e400", "number out of range", 2, 2),
+            # The 64th "(" opens level 65 at the "x" after it.
+            ("(\n" * MAX_DEPTH + "x" + ")" * MAX_DEPTH, "nested more than 64 levels", 65, 1),
+            # Line k holds the k-th "+".
+            ("x" + " +\n x" * (MAX_OPERATORS + 1), "more than 128 operators", 129, 4),
+        ],
+        ids=[
+            "character", "after-string", "token-after-string", "end", "function",
+            "accessor", "arity", "range", "depth", "operators",
+        ],
+    )
+    def test_multi_line(self, source, message, line, column):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse(source)
+        assert message in str(exc.value)
+        assert (exc.value.line, exc.value.column) == (line, column)
+        assert str(exc.value).endswith(f"(line {line}, column {column})")
+
+    def test_first_bad_character_wins(self):
+        # Lexing errors come before parse errors that stand earlier.
+        with pytest.raises(ExprSyntaxError, match=r"unexpected character '#' \(line 2, column 3\)"):
+            parse(") +\n  # @")
+
+
+class TestParseRobustness:
+    """Any text either fails with ExprSyntaxError or parses to a tree that
+    prints and parses back to itself."""
+
+    @staticmethod
+    def _check(source):
+        try:
+            tree = parse(source)
+        except ExprSyntaxError:
+            return
+        assert parse(print_expr(tree)) == tree
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    def test_arbitrary_text(self, source):
+        self._check(source)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet='x1.05e()+-*/<=>!"\\\n\t sumaxndortheflifv'))
+    def test_grammar_characters(self, source):
+        self._check(source)
 
 
 class TestNum:

@@ -1,0 +1,115 @@
+"""`oodn.expr.parse` against the frozen reference parser.
+
+For every input the two must give the same tree, or raise the same error
+type with the same message, line and column.
+"""
+
+from __future__ import annotations
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oodn.expr import parse, print_expr
+
+from . import reference_parser
+from .strategies import expressions
+
+# Grammar fragments, including ones that lex differently when glued to a
+# neighbour ("1e" + "3", "x" + "and") and ones that fail only later.
+_FRAGMENTS = [
+    "0", "1", "2.5", "1e3", "1e", "3", "1e400", "0.1", "007", "\u0663",
+    '"cm"', '"a b"', '"q\\"x"', '"n\\n"', '"two\nlines"', '"\\\\"', '"a\\\nb"',
+    "x", "y", "d1", "_p", "self", ".", "p1", "side_sizes", "value", "units",
+    "values", "count", "size",
+    "(", ")", ",", "+", "-", "*", "/", "==", "!=", "<", "<=", ">", ">=",
+    "and", "or", "not", "if", "then", "else",
+    "sum", "min", "max", "all_equal", "median",
+]
+_SPACES = ["", "", " ", " ", "\n", "\t", "  \n  ", "\r\n"]
+_BAD = ["@", "#", "\\", "%", "!", "=", '"', "'", "\u00e9", "$", "\0", "[", "{", ":", ";"]
+# Runs long enough to reach the nesting and operator limits.
+_LONG = [
+    "(" * 66, ")" * 66, "- " * 66, "not " * 66, "if x then " * 33,
+    "sum(" * 66, "x + " * 130, "x\n* " * 130, "x > 0 and " * 130,
+]
+_ATOMS = [
+    ["1"], ["2.5"], ["1e3"], ["x"], ["d1"], ['"cm"'], ['"two\nlines"'],
+    ["self", ".", "p1", ".", "value"], ["self", ".", "side_sizes", ".", "values"],
+]
+_BAD_ATOMS = [["1e400"], ["self", ".", "p", ".", "size"], ["median", "(", "x", ")"]]
+_BINOPS = ["+", "-", "*", "/", "==", "!=", "<", "<=", ">", ">=", "and", "or"]
+
+
+def _sentence(rng: random.Random, depth: int = 0) -> list[str]:
+    """The tokens of a random expression, well formed but for a few atoms."""
+    form = rng.randrange(7) if depth < 4 else 0
+    if form == 0:
+        return list(rng.choice(_BAD_ATOMS if rng.random() < 0.03 else _ATOMS))
+    e = _sentence(rng, depth + 1)
+    if form == 1:
+        return e + [rng.choice(_BINOPS)] + _sentence(rng, depth + 1)
+    if form == 2:
+        return ["(", *e, ")"]
+    if form == 3:
+        return [rng.choice(["-", "not"]), *e]
+    if form == 4:
+        return ["if", *e, "then", *_sentence(rng, depth + 1), "else", *_sentence(rng, depth + 1)]
+    if form == 5:
+        return [rng.choice(["sum", "count", "all_equal"]), "(", *e, ")"]
+    return e
+
+
+def _soup(rng: random.Random) -> str:
+    """Random fragments, or a random sentence that is sometimes mutated."""
+    if rng.random() < 0.5:
+        tokens = []
+        for _ in range(rng.randint(0, 8)):
+            roll = rng.random()
+            pool = _BAD if roll < 0.03 else _LONG if roll < 0.05 else _FRAGMENTS
+            tokens.append(rng.choice(pool))
+    else:
+        tokens = _sentence(rng)
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            i = rng.randrange(len(tokens) + 1)
+            mutation = rng.randrange(3)
+            if mutation == 0 and i < len(tokens):
+                del tokens[i]
+            else:
+                pool = _BAD if mutation == 1 else _FRAGMENTS
+                tokens.insert(i, rng.choice(pool))
+    return "".join(tok + rng.choice(_SPACES) for tok in tokens)
+
+
+def _outcome(parser, source: str):
+    try:
+        return ("tree", parser(source))
+    except Exception as exc:  # compared below: type, message, position
+        return (type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None))
+
+
+def _assert_agree(source: str) -> None:
+    assert _outcome(parse, source) == _outcome(reference_parser.parse, source), repr(source)
+
+
+def test_seeded_soups_agree():
+    rng = random.Random(20150401)
+    kinds = set()
+    for _ in range(20_000):
+        source = _soup(rng)
+        _assert_agree(source)
+        kinds.add(_outcome(parse, source)[0])
+    # The soups reach both trees and syntax errors.
+    assert {"tree"} < kinds
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions(), st.lists(st.sampled_from(_SPACES), min_size=1))
+def test_hypothesis_trees_with_random_spacing_agree(tree, spaces):
+    tokens = [t.text for t in reference_parser.tokenize(print_expr(tree))[:-1]]
+    source = "".join(tok + spaces[i % len(spaces)] for i, tok in enumerate(tokens))
+    _assert_agree(source)
+    # Spacing that keeps every token apart gives back the tree itself.
+    if "" not in spaces:
+        assert parse(source) == tree
