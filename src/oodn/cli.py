@@ -18,7 +18,6 @@ from .io import export_dot, load_file, save_text
 from .model import ClassDef, ObjectInstance
 from .network import (
     CLASS,
-    OBJECT,
     Network,
     NetworkError,
     NodeRef,
@@ -26,6 +25,7 @@ from .network import (
     apply_modifier,
     instances_of,
     neighbors,
+    object_ref,
     reachable,
     subclasses_of,
     with_inferred,
@@ -54,19 +54,13 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _resolve_name(n: Network, text: str) -> NodeRef:
-    """A node name from the command line: class name, object identifier,
-    or object identifier with '#<index>' clone suffix."""
+    """A node name from the command line: a class name, else an object's
+    display name (identifier, or identifier#cloneIndex for a clone)."""
     if n.find_class(text) is not None:
         return NodeRef(CLASS, text)
-    identifier, _, suffix = text.partition("#")
-    clone_index = 0
-    if suffix:
-        try:
-            clone_index = int(suffix)
-        except ValueError:
-            raise NetworkError(f"bad clone index in {text!r}")
-    if n.find_object(identifier, clone_index) is not None:
-        return NodeRef(OBJECT, identifier, clone_index)
+    for o in n.objects:
+        if o.node_name == text:
+            return object_ref(o)
     raise NetworkError(f"no class or object named {text!r}")
 
 
@@ -77,40 +71,41 @@ def _member_names(spec, sig):
     }
 
 
-def _class_report(t: ClassDef) -> dict:
-    report = {"name": t.name, "core": None, "projections": []}
-    if t.core is not None:
-        report["core"] = _member_names(t.core.specification, t.core.signature)
-    for pr in t.projections:
+def _node_report(node: ClassDef | ObjectInstance) -> dict:
+    if isinstance(node, ObjectInstance):
+        return {"object": node.node_name}
+    report = {"name": node.name, "core": None, "projections": []}
+    if node.core is not None:
+        report["core"] = _member_names(node.core.specification, node.core.signature)
+    for pr in node.projections:
         entry = {"source": pr.source_label}
         entry.update(_member_names(pr.specification, pr.signature))
         report["projections"].append(entry)
     return report
 
 
-def _print_class_report(t: ClassDef) -> None:
-    print(f"class {t.name}")
-    if t.core is not None:
-        names = _member_names(t.core.specification, t.core.signature)
+def _print_node_report(node: ClassDef | ObjectInstance) -> None:
+    if isinstance(node, ObjectInstance):
+        print(f"object {node.node_name}")
+        for p in node.specification:
+            if hasattr(p, "units"):
+                print(f"  {p.name}: {p.value} {p.units}")
+            else:
+                print(f"  {p.name}: degree={p.degree}")
+        for m in node.signature:
+            print(f"  {m.name}({', '.join(m.parameters)})")
+        return
+    print(f"class {node.name}")
+    if node.core is not None:
+        names = _member_names(node.core.specification, node.core.signature)
         print(f"  core properties: {', '.join(names['properties']) or '(none)'}")
         print(f"  core methods: {', '.join(names['methods']) or '(none)'}")
     else:
         print("  core: (none)")
-    for pr in t.projections:
+    for pr in node.projections:
         names = _member_names(pr.specification, pr.signature)
         members = names["properties"] + names["methods"]
         print(f"  projection[{pr.source_label}]: {', '.join(members)}")
-
-
-def _print_object_report(o: ObjectInstance) -> None:
-    print(f"object {o.node_name}")
-    for p in o.specification:
-        if hasattr(p, "units"):
-            print(f"  {p.name}: {p.value} {p.units}")
-        else:
-            print(f"  {p.name}: degree={p.degree}")
-    for m in o.signature:
-        print(f"  {m.name}({', '.join(m.parameters)})")
 
 
 def _relation_line(r) -> str:
@@ -166,18 +161,11 @@ def _cmd_show(args) -> int:
         for r in n.relations:
             print(f"  {_relation_line(r)}")
         return EXIT_OK
-    ref = _resolve_name(n, args.node)
-    node = n.resolve(ref)
+    node = n.resolve(_resolve_name(n, args.node))
     if args.json:
-        if ref.kind == CLASS:
-            print(json.dumps(_class_report(node), sort_keys=True))
-        else:
-            print(json.dumps({"object": node.node_name}, sort_keys=True))
-        return EXIT_OK
-    if ref.kind == CLASS:
-        _print_class_report(node)
+        print(json.dumps(_node_report(node), sort_keys=True))
     else:
-        _print_object_report(node)
+        _print_node_report(node)
     return EXIT_OK
 
 
@@ -197,21 +185,10 @@ def _cmd_op(args) -> int:
     _maybe_out(args, n2)
     node = n2.resolve(result_ref)
     if args.json:
-        if result_ref.kind == CLASS:
-            print(json.dumps({"exists": True, "result": _class_report(node)}, sort_keys=True))
-        else:
-            print(
-                json.dumps(
-                    {"exists": True, "result": {"object": node.node_name}},
-                    sort_keys=True,
-                )
-            )
+        print(json.dumps({"exists": True, "result": _node_report(node)}, sort_keys=True))
         return EXIT_OK
     print(f"result: {result_ref.display}")
-    if result_ref.kind == CLASS:
-        _print_class_report(node)
-    else:
-        _print_object_report(node)
+    _print_node_report(node)
     return EXIT_OK
 
 
@@ -233,11 +210,7 @@ def _cmd_modify(args) -> int:
         )
         return EXIT_OK
     print(f"result: {result_ref.display}")
-    node = n2.resolve(result_ref)
-    if result_ref.kind == CLASS:
-        _print_class_report(node)
-    else:
-        _print_object_report(node)
+    _print_node_report(n2.resolve(result_ref))
     return EXIT_OK
 
 

@@ -8,6 +8,7 @@ produce identical bytes.  Schema reference: docs/format.md.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from .model import (
     QuantitativeProperty,
     Signature,
     Specification,
+    coerce_value,
 )
 from .modifiers import (
     AddMethod,
@@ -176,48 +178,6 @@ def _load_object(doc, path: str) -> ObjectInstance:
     return _wrap(path, ObjectInstance, identifier, spec, sig, clone_index)
 
 
-def _load_edit(doc, path: str):
-    _expect(doc, dict, path, "an edit object")
-    kind = _get(doc, "edit", str, path, "a string")
-    if kind == "setValue":
-        prop = _get(doc, "property", str, path, "a string")
-        value = doc.get("value")
-        if value is None:
-            raise LoadError("expected a number or a list of numbers", f"{path}.value")
-        return _wrap(f"{path}.value", SetValue, prop, value)
-    if kind == "setUnits":
-        return SetUnits(
-            _get(doc, "property", str, path, "a string"),
-            _get(doc, "units", str, path, "a string"),
-        )
-    if kind == "setExpression":
-        return SetExpression(
-            _get(doc, "property", str, path, "a string"),
-            _parse_expr(
-                _get(doc, "expression", str, path, "a string"), f"{path}.expression"
-            ),
-        )
-    if kind == "addProperty":
-        return AddProperty(_load_property(doc.get("propertyDef"), f"{path}.propertyDef"))
-    if kind == "removeProperty":
-        return RemoveProperty(_get(doc, "property", str, path, "a string"))
-    if kind == "replaceProperty":
-        return ReplaceProperty(
-            _get(doc, "property", str, path, "a string"),
-            _load_property(doc.get("propertyDef"), f"{path}.propertyDef"),
-        )
-    if kind == "addMethod":
-        return AddMethod(_load_method(doc.get("methodDef"), f"{path}.methodDef"))
-    if kind == "removeMethod":
-        return RemoveMethod(_get(doc, "method", str, path, "a string"))
-    if kind == "replaceMethod":
-        return ReplaceMethod(
-            _get(doc, "method", str, path, "a string"),
-            _load_method(doc.get("methodDef"), f"{path}.methodDef"),
-        )
-    raise LoadError(f"unknown edit kind {kind!r}", f"{path}.edit")
-
-
 def _load_modifier(doc, path: str) -> Modifier:
     _expect(doc, dict, path, "a modifier object")
     name = _get(doc, "name", str, path, "a string")
@@ -350,38 +310,64 @@ def _object_to_json(o: ObjectInstance):
     return doc
 
 
+# --- edits -------------------------------------------------------------------
+#
+# A field codec is a (load, save) pair: load(edit doc, JSON key, edit path)
+# reads one field, save(field) writes it back.
+
+
+def _load_set_value(doc, key: str, path: str):
+    value = doc.get(key)
+    if value is None:
+        raise LoadError("expected a number or a list of numbers", f"{path}.{key}")
+    return _wrap(f"{path}.{key}", coerce_value, value)
+
+
+_STRING = (lambda doc, key, path: _get(doc, key, str, path, "a string"), lambda s: s)
+_VALUE = (_load_set_value, _value_to_json)
+_EXPRESSION = (
+    lambda doc, key, path: _parse_expr(_get(doc, key, str, path, "a string"), f"{path}.{key}"),
+    print_expr,
+)
+_PROPERTY = (
+    lambda doc, key, path: _load_property(doc.get(key), f"{path}.{key}"),
+    _property_to_json,
+)
+_METHOD = (lambda doc, key, path: _load_method(doc.get(key), f"{path}.{key}"), _method_to_json)
+
+# JSON `edit` tag -> (edit class, (JSON key, field codec) per class field, in order).
+_EDITS = {
+    "setValue": (SetValue, (("property", _STRING), ("value", _VALUE))),
+    "setUnits": (SetUnits, (("property", _STRING), ("units", _STRING))),
+    "setExpression": (SetExpression, (("property", _STRING), ("expression", _EXPRESSION))),
+    "addProperty": (AddProperty, (("propertyDef", _PROPERTY),)),
+    "removeProperty": (RemoveProperty, (("property", _STRING),)),
+    "replaceProperty": (ReplaceProperty, (("property", _STRING), ("propertyDef", _PROPERTY))),
+    "addMethod": (AddMethod, (("methodDef", _METHOD),)),
+    "removeMethod": (RemoveMethod, (("method", _STRING),)),
+    "replaceMethod": (ReplaceMethod, (("method", _STRING), ("methodDef", _METHOD))),
+}
+_EDIT_TAGS = {cls: tag for tag, (cls, _) in _EDITS.items()}
+
+
+def _load_edit(doc, path: str):
+    _expect(doc, dict, path, "an edit object")
+    kind = _get(doc, "edit", str, path, "a string")
+    if kind not in _EDITS:
+        raise LoadError(f"unknown edit kind {kind!r}", f"{path}.edit")
+    cls, fields = _EDITS[kind]
+    return cls(*(load(doc, key, path) for key, (load, _) in fields))
+
+
 def _edit_to_json(edit):
-    if isinstance(edit, SetValue):
-        return {"edit": "setValue", "property": edit.property_name, "value": _value_to_json(edit.value)}
-    if isinstance(edit, SetUnits):
-        return {"edit": "setUnits", "property": edit.property_name, "units": edit.units}
-    if isinstance(edit, SetExpression):
-        return {
-            "edit": "setExpression",
-            "property": edit.property_name,
-            "expression": print_expr(edit.expression),
-        }
-    if isinstance(edit, AddProperty):
-        return {"edit": "addProperty", "propertyDef": _property_to_json(edit.prop)}
-    if isinstance(edit, RemoveProperty):
-        return {"edit": "removeProperty", "property": edit.property_name}
-    if isinstance(edit, ReplaceProperty):
-        return {
-            "edit": "replaceProperty",
-            "property": edit.property_name,
-            "propertyDef": _property_to_json(edit.replacement),
-        }
-    if isinstance(edit, AddMethod):
-        return {"edit": "addMethod", "methodDef": _method_to_json(edit.method)}
-    if isinstance(edit, RemoveMethod):
-        return {"edit": "removeMethod", "method": edit.method_name}
-    if isinstance(edit, ReplaceMethod):
-        return {
-            "edit": "replaceMethod",
-            "method": edit.method_name,
-            "methodDef": _method_to_json(edit.replacement),
-        }
-    raise TypeError(f"unknown edit {edit!r}")
+    tag = _EDIT_TAGS.get(type(edit))
+    if tag is None:
+        raise TypeError(f"unknown edit {edit!r}")
+    _, fields = _EDITS[tag]
+    doc = {"edit": tag}
+    for (key, (_, save)), f in zip(fields, dataclasses.fields(edit)):
+        doc[key] = save(getattr(edit, f.name))
+    return doc
 
 
 def _modifier_to_json(m: Modifier):

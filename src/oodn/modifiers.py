@@ -139,53 +139,44 @@ class ModifierKind(Enum):
 def _apply_edit(
     spec: list, sig: list, edit: ModificationFunction, who: str
 ) -> None:
-    def prop_index(name: str) -> int:
-        for i, p in enumerate(spec):
-            if p.name == name:
-                return i
-        raise ModifierError(f"{who}: no property named {name!r}")
+    def find(members: list, name: str) -> int | None:
+        return next((i for i, x in enumerate(members) if x.name == name), None)
 
-    def method_index(name: str) -> int:
-        for i, m in enumerate(sig):
-            if m.name == name:
-                return i
-        raise ModifierError(f"{who}: no method named {name!r}")
+    def index(members: list, name: str, what: str) -> int:
+        i = find(members, name)
+        if i is None:
+            raise ModifierError(f"{who}: no {what} named {name!r}")
+        return i
 
-    if isinstance(edit, SetValue):
-        i = prop_index(edit.property_name)
+    if isinstance(edit, (SetValue, SetUnits)):
+        i = index(spec, edit.property_name, "property")
         if not isinstance(spec[i], QuantitativeProperty):
             raise ModifierError(
                 f"{who}: property {edit.property_name!r} is not quantitative"
             )
-        spec[i] = dataclasses.replace(spec[i], value=edit.value)
-    elif isinstance(edit, SetUnits):
-        i = prop_index(edit.property_name)
-        if not isinstance(spec[i], QuantitativeProperty):
-            raise ModifierError(
-                f"{who}: property {edit.property_name!r} is not quantitative"
-            )
-        spec[i] = dataclasses.replace(spec[i], units=edit.units)
+        change = {"value": edit.value} if isinstance(edit, SetValue) else {"units": edit.units}
+        spec[i] = dataclasses.replace(spec[i], **change)
     elif isinstance(edit, SetExpression):
         # Targets a qualitative property's verification, or (when no such
         # property exists) a method's body.
-        prop_i = next((i for i, p in enumerate(spec) if p.name == edit.property_name), None)
-        if prop_i is not None:
-            if not isinstance(spec[prop_i], QualitativeProperty):
+        i = find(spec, edit.property_name)
+        if i is not None:
+            if not isinstance(spec[i], QualitativeProperty):
                 raise ModifierError(
                     f"{who}: property {edit.property_name!r} is not qualitative"
                 )
-            spec[prop_i] = dataclasses.replace(spec[prop_i], verification=edit.expression)
+            spec[i] = dataclasses.replace(spec[i], verification=edit.expression)
         else:
-            i = method_index(edit.property_name)
+            i = index(sig, edit.property_name, "method")
             sig[i] = dataclasses.replace(sig[i], body=edit.expression)
     elif isinstance(edit, AddProperty):
         if any(p.name == edit.prop.name for p in spec):
             raise ModifierError(f"{who}: property {edit.prop.name!r} already exists")
         spec.append(edit.prop)
     elif isinstance(edit, RemoveProperty):
-        del spec[prop_index(edit.property_name)]
+        del spec[index(spec, edit.property_name, "property")]
     elif isinstance(edit, ReplaceProperty):
-        i = prop_index(edit.property_name)
+        i = index(spec, edit.property_name, "property")
         if edit.replacement.name != edit.property_name and any(
             p.name == edit.replacement.name for p in spec
         ):
@@ -198,9 +189,9 @@ def _apply_edit(
             raise ModifierError(f"{who}: method {edit.method.name!r} already exists")
         sig.append(edit.method)
     elif isinstance(edit, RemoveMethod):
-        del sig[method_index(edit.method_name)]
+        del sig[index(sig, edit.method_name, "method")]
     elif isinstance(edit, ReplaceMethod):
-        i = method_index(edit.method_name)
+        i = index(sig, edit.method_name, "method")
         if edit.replacement.name != edit.method_name and any(
             m.name == edit.replacement.name for m in sig
         ):

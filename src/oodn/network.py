@@ -127,22 +127,16 @@ class Network:
         unknown = self.exploiters - EXPLOITER_NAMES
         if unknown:
             raise NetworkError(f"unknown exploiters: {sorted(unknown)}")
-        seen = set()
-        for o in self.objects:
-            key = (o.identifier, o.clone_index)
-            if key in seen:
-                raise NetworkError(f"duplicate object {o.node_name!r}")
-            seen.add(key)
-        names = set()
-        for t in self.classes:
-            if t.name in names:
-                raise NetworkError(f"duplicate class {t.name!r}")
-            names.add(t.name)
-        mod_names = set()
-        for m in self.modifiers:
-            if m.name in mod_names:
-                raise NetworkError(f"duplicate modifier {m.name!r}")
-            mod_names.add(m.name)
+        for what, names in (
+            ("object", [o.node_name for o in self.objects]),
+            ("class", [t.name for t in self.classes]),
+            ("modifier", [m.name for m in self.modifiers]),
+        ):
+            seen = set()
+            for name in names:
+                if name in seen:
+                    raise NetworkError(f"duplicate {what} {name!r}")
+                seen.add(name)
         triples = set()
         for r in self.relations:
             if r.triple in triples:
@@ -291,25 +285,37 @@ def with_inferred(n: Network, threshold: float = 1.0) -> Network:
     return _append_relations(n, infer_relations(n, threshold))
 
 
+# --- derived nodes -----------------------------------------------------------
+
+
+def _free_index(taken: set, base: str, k: int) -> int:
+    """The least index from `k` on whose name `base#index` is not taken."""
+    while f"{base}#{k}" in taken:
+        k += 1
+    return k
+
+
+def _add_derived(n: Network, node, base: str, dedup: bool) -> tuple[Network, NodeRef]:
+    """Link to the first state-equal node of the same kind when `dedup` is
+    on; otherwise add `node` under `base`, or `base#k` for the least k >= 2
+    that no node of its kind displays as."""
+    is_class = isinstance(node, ClassDef)
+    nodes, ref = (n.classes, class_ref) if is_class else (n.objects, object_ref)
+    if dedup:
+        same = class_state_equal if is_class else object_state_equal
+        existing = next((x for x in nodes if same(x, node)), None)
+        if existing is not None:
+            return n, ref(existing)
+    taken = {t.name for t in nodes} if is_class else {o.node_name for o in nodes}
+    name = base if base not in taken else f"{base}#{_free_index(taken, base, 2)}"
+    if is_class:
+        node = dataclasses.replace(node, name=name)
+        return add_class(n, node), ref(node)
+    node = dataclasses.replace(node, identifier=name, clone_index=0)
+    return add_object(n, node), ref(node)
+
+
 # --- modifier application ----------------------------------------------------
-
-
-def _fresh_class_name(n: Network, base: str) -> str:
-    name = base
-    suffix = 2
-    while n.find_class(name) is not None:
-        name = f"{base}#{suffix}"
-        suffix += 1
-    return name
-
-
-def _fresh_object_identifier(n: Network, base: str) -> str:
-    name = base
-    suffix = 2
-    while n.find_object(name) is not None:
-        name = f"{base}#{suffix}"
-        suffix += 1
-    return name
 
 
 def apply_modifier(
@@ -323,41 +329,10 @@ def apply_modifier(
         raise NetworkError(f"unknown modifier {modifier_name!r}")
     node = n.resolve(target)
 
-    if target.kind == CLASS:
-        result = apply_to_class(modifier, node)
-        existing = None
-        if dedup:
-            existing = next(
-                (t for t in n.classes if class_state_equal(t, result)), None
-            )
-        if existing is not None:
-            result_ref = class_ref(existing)
-        else:
-            named = dataclasses.replace(
-                result, name=_fresh_class_name(n, f"{modifier_name}({target.display})")
-            )
-            n = add_class(n, named)
-            result_ref = class_ref(named)
-    else:
-        result = apply_to_object(modifier, node)
-        existing = None
-        if dedup:
-            existing = next(
-                (o for o in n.objects if object_state_equal(o, result)), None
-            )
-        if existing is not None:
-            result_ref = object_ref(existing)
-        else:
-            named = dataclasses.replace(
-                result,
-                identifier=_fresh_object_identifier(
-                    n, f"{modifier_name}({target.display})"
-                ),
-                clone_index=0,
-            )
-            n = add_object(n, named)
-            result_ref = object_ref(named)
-
+    apply = apply_to_class if target.kind == CLASS else apply_to_object
+    n, result_ref = _add_derived(
+        n, apply(modifier, node), f"{modifier_name}({target.display})", dedup
+    )
     n = _append_relations(
         n, [Relation(target, result_ref, "modification-of", "recorded")]
     )
@@ -388,17 +363,6 @@ def _record_result(
     return _append_relations(n, edges)
 
 
-def _add_result_class(
-    n: Network, result: ClassDef, dedup: bool
-) -> tuple[Network, NodeRef]:
-    if dedup:
-        existing = next((t for t in n.classes if class_state_equal(t, result)), None)
-        if existing is not None:
-            return n, class_ref(existing)
-    named = dataclasses.replace(result, name=_fresh_class_name(n, result.name))
-    return add_class(n, named), class_ref(named)
-
-
 def apply_exploiter(
     n: Network,
     op: str,
@@ -419,14 +383,8 @@ def apply_exploiter(
             raise NetworkError("clone takes exactly one object operand")
         original = n.resolve(operands[0])
         if clone_index is None:
-            taken = {
-                o.clone_index
-                for o in n.objects
-                if o.identifier == original.identifier
-            }
-            clone_index = 1
-            while clone_index in taken:
-                clone_index += 1
+            taken = {o.node_name for o in n.objects}
+            clone_index = _free_index(taken, original.identifier, 1)
         clone = clone_object(original, clone_index)
         if n.find_object(clone.identifier, clone.clone_index) is not None:
             raise NetworkError(
@@ -443,7 +401,7 @@ def apply_exploiter(
         for o in result_objects:
             if n.find_object(o.identifier, o.clone_index) is None:
                 n = add_object(n, o)
-        n, result_ref = _add_result_class(n, result.class_def, dedup)
+        n, result_ref = _add_derived(n, result.class_def, result.class_def.name, dedup)
         n = _record_result(n, operands, result_ref)
         return n, result_ref, result
 
@@ -465,7 +423,7 @@ def apply_exploiter(
 
     if not result.exists:
         return n, None, result
-    n, result_ref = _add_result_class(n, result.class_def, dedup)
+    n, result_ref = _add_derived(n, result.class_def, result.class_def.name, dedup)
     n = _record_result(n, operands, result_ref)
     return n, result_ref, result
 

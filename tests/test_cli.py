@@ -111,6 +111,44 @@ class TestShow:
         assert main(["show", polygons_path, "ghost"]) == 2
         assert "no class or object" in capsys.readouterr().err
 
+    def test_modified_clone_addressable(self, polygons_path, capsys):
+        assert main(["op", polygons_path, "clone", "R_1", "--out", polygons_path]) == 0
+        argv = ["modify", polygons_path, "M1(R_1)", "R_1#1", "--out", polygons_path]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["show", polygons_path, "M1(R_1)(R_1#1)"]) == 0
+        assert capsys.readouterr().out.startswith("object M1(R_1)(R_1#1)\n")
+
+    def test_minted_name_addressable(self, polygons_path, capsys):
+        argv = ["modify", polygons_path, "M1(R_1)", "R_1", "--no-dedup", "--out", polygons_path]
+        assert main(argv) == 0
+        assert main(argv) == 0
+        assert capsys.readouterr().out.count("result: ") == 2
+        assert main(["show", polygons_path, "M1(R_1)(R_1)#2", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"object": "M1(R_1)(R_1)#2"}
+
+    def test_minted_name_and_clone_do_not_collide(self, polygons_path, capsys):
+        modify = ["modify", polygons_path, "M1(R_1)", "R_1", "--no-dedup", "--out", polygons_path]
+        clone = ["op", polygons_path, "clone", "M1(R_1)(R_1)", "--json", "--out", polygons_path]
+        assert main(modify) == 0 and main(modify) == 0
+        capsys.readouterr()
+        assert main(clone) == 0 and main(clone) == 0
+        results = [json.loads(line)["result"] for line in capsys.readouterr().out.splitlines()]
+        assert results == [{"object": "M1(R_1)(R_1)#1"}, {"object": "M1(R_1)(R_1)#3"}]
+        for name in ("M1(R_1)(R_1)#2", "M1(R_1)(R_1)#3"):
+            assert main(["show", polygons_path, name]) == 0
+            assert capsys.readouterr().out.startswith(f"object {name}\n")
+
+    def test_colliding_display_names_rejected(self, tmp_path, capsys):
+        objects = [
+            {"identifier": "o", "cloneIndex": 2, "properties": [], "methods": []},
+            {"identifier": "o#2", "cloneIndex": 0, "properties": [], "methods": []},
+        ]
+        path = tmp_path / "clash.json"
+        path.write_text(json.dumps({"format": "oodn/1", "objects": objects}))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == "error: $: duplicate object 'o#2'\n"
+
 
 class TestOp:
     def test_union(self, polygons_path, capsys):

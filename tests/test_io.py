@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,9 @@ from oodn import (
     save_text,
     with_inferred,
 )
+from oodn import io as oodn_io
 from oodn.model import class_state_equal, object_state_equal
+from oodn.modifiers import ModificationFunction
 
 from .helpers import check_dot, obj, qprop
 from .strategies import core_only_classes
@@ -251,3 +255,121 @@ class TestDot:
         text = export_dot(weird)
         assert '"he said \\"hi\\""' in text
         check_dot(text)
+
+
+# One sample of each edit kind, in the form save_text writes it.
+EDIT_SAMPLES = {
+    "setValue": {"edit": "setValue", "property": "p", "value": [1.0, 2.5]},
+    "setUnits": {"edit": "setUnits", "property": "p", "units": "mm"},
+    "setExpression": {"edit": "setExpression", "property": "q", "expression": "self.p.value > 1"},
+    "addProperty": {
+        "edit": "addProperty",
+        "propertyDef": {"name": "r", "kind": "quantitative", "units": "kg", "value": None},
+    },
+    "removeProperty": {"edit": "removeProperty", "property": "p"},
+    "replaceProperty": {
+        "edit": "replaceProperty",
+        "property": "p",
+        "propertyDef": {
+            "name": "p2",
+            "kind": "qualitative",
+            "verification": "self.r.value < 3",
+            "degree": 0.5,
+        },
+    },
+    "addMethod": {
+        "edit": "addMethod",
+        "methodDef": {"name": "f", "parameters": ["x"], "body": "x * 2"},
+    },
+    "removeMethod": {"edit": "removeMethod", "method": "f"},
+    "replaceMethod": {
+        "edit": "replaceMethod",
+        "method": "f",
+        "methodDef": {"name": "g", "parameters": [], "body": None},
+    },
+}
+
+EDIT_PATH = "$.modifiers[0].edits[0]"
+
+
+def edit_doc(edit):
+    return doc(modifiers=[{"name": "m", "target": "class", "edits": [edit]}])
+
+
+def edit_key_errors():
+    """(kind, key, bad value or None for a missing key, expected path,
+    expected message) for every key of every edit kind."""
+    cases = []
+    for kind, sample in EDIT_SAMPLES.items():
+        for key in sample:
+            if key == "edit":
+                continue
+            if key in ("propertyDef", "methodDef"):
+                what = "a property object" if key == "propertyDef" else "a method object"
+                cases.append((kind, key, None, f"{EDIT_PATH}.{key}", f"expected {what}"))
+                cases.append((kind, key, 7, f"{EDIT_PATH}.{key}", f"expected {what}"))
+            elif key == "value":
+                cases.append(
+                    (kind, key, None, f"{EDIT_PATH}.value", "expected a number or a list of numbers")
+                )
+                cases.append(
+                    (kind, key, "a", f"{EDIT_PATH}.value", "expected a number, got 'a'")
+                )
+            else:
+                cases.append((kind, key, None, EDIT_PATH, f"missing required key {key!r}"))
+                cases.append((kind, key, 7, f"{EDIT_PATH}.{key}", "expected a string"))
+    return cases
+
+
+class TestEditCodec:
+    @pytest.mark.parametrize("kind", sorted(EDIT_SAMPLES))
+    def test_round_trip(self, kind):
+        saved = save_text(load_text(edit_doc(EDIT_SAMPLES[kind])))
+        assert json.loads(saved)["modifiers"][0]["edits"] == [EDIT_SAMPLES[kind]]
+        assert save_text(load_text(saved)) == saved
+
+    def test_all_kinds_in_one_modifier(self):
+        edits = [EDIT_SAMPLES[k] for k in sorted(EDIT_SAMPLES)]
+        text = doc(modifiers=[{"name": "m", "target": "object", "edits": edits}])
+        saved = save_text(load_text(text))
+        assert json.loads(saved)["modifiers"][0]["edits"] == edits
+        assert save_text(load_text(saved)) == saved
+
+    @pytest.mark.parametrize("kind,key,bad,path,message", edit_key_errors())
+    def test_bad_key(self, kind, key, bad, path, message):
+        edit = dict(EDIT_SAMPLES[kind])
+        if bad is None:
+            del edit[key]
+        else:
+            edit[key] = bad
+        with pytest.raises(LoadError) as exc:
+            load_text(edit_doc(edit))
+        assert exc.value.path == path
+        assert str(exc.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "edit,path,message",
+        [
+            ({"property": "p"}, EDIT_PATH, "missing required key 'edit'"),
+            ({"edit": 3}, f"{EDIT_PATH}.edit", "expected a string"),
+            ({"edit": "zap"}, f"{EDIT_PATH}.edit", "unknown edit kind 'zap'"),
+            ("setUnits", EDIT_PATH, "expected an edit object"),
+            (
+                {"edit": "setExpression", "property": "q", "expression": "1 +"},
+                f"{EDIT_PATH}.expression",
+                "bad expression: ",
+            ),
+        ],
+    )
+    def test_bad_edit(self, edit, path, message):
+        with pytest.raises(LoadError) as exc:
+            load_text(edit_doc(edit))
+        assert exc.value.path == path
+        assert str(exc.value).startswith(f"{path}: {message}")
+
+    def test_table_holds_each_edit_class_once(self):
+        classes = [cls for cls, _ in oodn_io._EDITS.values()]
+        assert len(classes) == len(set(classes))
+        assert set(classes) == set(typing.get_args(ModificationFunction))
+        for cls, fields in oodn_io._EDITS.values():
+            assert len(fields) == len(dataclasses.fields(cls))

@@ -52,6 +52,15 @@ class TestConstruction:
         with pytest.raises(NetworkError):
             add_object(n, obj("o", qprop("p", value=2), clone_index=1))
 
+    def test_duplicate_display_names_rejected(self):
+        clone = obj("o", qprop("p", value=1), clone_index=2)
+        minted = obj("o#2", qprop("p", value=1))
+        with pytest.raises(NetworkError, match=r"duplicate object 'o#2'"):
+            Network(objects=(clone, minted))
+        n = add_object(empty_network(), clone)
+        with pytest.raises(NetworkError, match=r"duplicate object 'o#2'"):
+            add_object(n, minted)
+
     def test_relation_endpoints_must_resolve(self):
         n = add_class(empty_network(), cls("t", qprop("p")))
         dangling = Relation(NodeRef("class", "t"), NodeRef("class", "ghost"), "is-a")
@@ -176,6 +185,33 @@ class TestApplyModifier:
         assert ref2.name == "M1(T(R))(T(R))#2"
 
 
+    def test_object_name_collision_suffix(self, polygons):
+        target = NodeRef("object", "R_1")
+        n, ref = apply_modifier(polygons, "M1(R_1)", target, dedup=False)
+        n, ref2 = apply_modifier(n, "M1(R_1)", target, dedup=False)
+        assert ref == NodeRef("object", "M1(R_1)(R_1)")
+        assert ref2 == NodeRef("object", "M1(R_1)(R_1)#2")
+        assert n.resolve(ref2).node_name == "M1(R_1)(R_1)#2"
+
+    def test_fresh_name_skips_clone_display_names(self, polygons):
+        """Clones 1 and 2 of the derived object display as base#1 and
+        base#2, so the next derived object is named base#3."""
+        target = NodeRef("object", "R_1")
+        n, ref = apply_modifier(polygons, "M1(R_1)", target, dedup=False)
+        for index in (1, 2):
+            n, clone, _ = apply_exploiter(n, "clone", [ref])
+            assert clone == NodeRef("object", "M1(R_1)(R_1)", index)
+        n, ref3 = apply_modifier(n, "M1(R_1)", target, dedup=False)
+        assert ref3 == NodeRef("object", "M1(R_1)(R_1)#3")
+        assert len({o.node_name for o in n.objects}) == len(n.objects)
+
+    def test_modified_clone_name(self, polygons):
+        n, clone, _ = apply_exploiter(polygons, "clone", [NodeRef("object", "R_1")])
+        n, ref = apply_modifier(n, "M1(R_1)", clone)
+        assert ref == NodeRef("object", "M1(R_1)(R_1#1)")
+        assert n.resolve(ref).find_property("side_count").value == 3.0
+
+
 class TestApplyExploiter:
     def test_union_adds_node_and_edges(self, polygons):
         refs = [NodeRef("class", "T(R)"), NodeRef("class", "T(S)")]
@@ -202,6 +238,40 @@ class TestApplyExploiter:
         assert ref == NodeRef("object", "R_1", 1)
         n2, ref2, _ = apply_exploiter(n, "clone", [NodeRef("object", "R_1")])
         assert ref2 == NodeRef("object", "R_1", 2)
+
+    def test_clone_auto_index_skips_minted_name(self, polygons):
+        """A derived object minted as base#2 takes the display name of
+        clone 2 of base, so automatic cloning skips index 2."""
+        target = NodeRef("object", "R_1")
+        n, base = apply_modifier(polygons, "M1(R_1)", target, dedup=False)
+        n, minted = apply_modifier(n, "M1(R_1)", target, dedup=False)
+        assert minted.display == "M1(R_1)(R_1)#2"
+        n, first, _ = apply_exploiter(n, "clone", [base])
+        n, second, _ = apply_exploiter(n, "clone", [base])
+        assert (first.clone_index, second.clone_index) == (1, 3)
+        with pytest.raises(NetworkError, match=r"duplicate object 'M1\(R_1\)\(R_1\)#2'"):
+            apply_exploiter(n, "clone", [base], clone_index=2)
+
+    def test_class_result_name_collision_suffix(self, polygons):
+        refs = [NodeRef("class", "T(R)"), NodeRef("class", "T(S)")]
+        n, ref, _ = apply_exploiter(polygons, "union", refs, dedup=False)
+        n, ref2, _ = apply_exploiter(n, "union", refs, dedup=False)
+        assert (ref.name, ref2.name) == ("union(T(R),T(S))", "union(T(R),T(S))#2")
+
+    def test_derived_display_names_stay_unique(self, polygons):
+        """Seeded growth by clones and undeduplicated modifiers: every
+        object keeps a display name of its own."""
+        rng = random.Random(7)
+        n = polygons
+        for _ in range(60):
+            ref = object_ref(rng.choice([o for o in n.objects if o.identifier != "S_1"]))
+            if rng.random() < 0.5:
+                n, _, _ = apply_exploiter(n, "clone", [ref])
+            else:
+                n, _ = apply_modifier(n, "M1(R_1)", ref, dedup=False)
+        names = [o.node_name for o in n.objects]
+        assert len(set(names)) == len(names)
+        assert any("#" in o.identifier for o in n.objects)
 
     def test_clone_explicit_index_conflict(self, polygons):
         n, _, _ = apply_exploiter(
