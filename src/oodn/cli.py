@@ -17,12 +17,12 @@ from .errors import OodnError
 from .io import export_dot, load_file, save_text
 from .model import ClassDef, ObjectInstance
 from .network import (
-    CLASS,
     Network,
     NetworkError,
     NodeRef,
     apply_exploiter,
     apply_modifier,
+    class_ref,
     instances_of,
     neighbors,
     object_ref,
@@ -54,14 +54,12 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _resolve_name(n: Network, text: str) -> NodeRef:
-    """A node name from the command line: a class name, else an object's
+    """A node name from the command line: a class name or an object's
     display name (identifier, or identifier#cloneIndex for a clone)."""
-    if n.find_class(text) is not None:
-        return NodeRef(CLASS, text)
-    for o in n.objects:
-        if o.node_name == text:
-            return object_ref(o)
-    raise NetworkError(f"no class or object named {text!r}")
+    node = n.find_node(text)
+    if node is None:
+        raise NetworkError(f"no class or object named {text!r}")
+    return object_ref(node) if isinstance(node, ObjectInstance) else class_ref(node)
 
 
 def _member_names(spec, sig):
@@ -215,11 +213,7 @@ def _cmd_modify(args) -> int:
 
 
 def _is_new(n: Network, ref: NodeRef) -> bool:
-    try:
-        n.resolve(ref)
-        return False
-    except NetworkError:
-        return True
+    return n.find_node(ref.display) is None
 
 
 def _cmd_infer(args) -> int:

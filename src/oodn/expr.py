@@ -64,7 +64,6 @@ class EvalError(ExprError):
 
 REF_ATTRS = ("value", "units", "values", "count")
 AGGREGATES = ("sum", "min", "max", "count", "all_equal")
-ARITH_OPS = ("+", "-", "*", "/")
 CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 
 
@@ -161,10 +160,6 @@ def walk(e: Expr) -> Iterator[Expr]:
 
 def param_refs(e: Expr) -> set[str]:
     return {n.name for n in walk(e) if isinstance(n, ParamRef)}
-
-
-def prop_refs(e: Expr) -> set[str]:
-    return {n.prop for n in walk(e) if isinstance(n, PropRef)}
 
 
 # --- sorts -------------------------------------------------------------------
@@ -281,15 +276,14 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
+
+
 def _unescape(raw: str) -> str:
-    body = raw[1:-1]
-    return (
-        body.replace("\\\\", "\0")
-        .replace('\\"', '"')
-        .replace("\\n", "\n")
-        .replace("\\t", "\t")
-        .replace("\0", "\\")
-    )
+    """The body of a string literal, escapes replaced in one left-to-right
+    pass; a backslash before any other character stays as written."""
+    return _ESCAPE_RE.sub(lambda m: _ESCAPES.get(m[1], m[0]), raw[1:-1])
 
 
 def _escape(s: str) -> str:
@@ -586,20 +580,6 @@ def print_expr(e: Expr) -> str:
 
 
 # --- normal form -------------------------------------------------------------
-
-_TAG = {
-    Num: 0,
-    Text: 1,
-    PropRef: 2,
-    ParamRef: 3,
-    Arith: 4,
-    Compare: 5,
-    Not: 6,
-    Connective: 7,
-    Aggregate: 8,
-    If: 9,
-}
-
 
 def _key(e: Expr):
     """Fixed total order on subtrees: variant tag, then children, then payload."""

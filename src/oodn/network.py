@@ -114,6 +114,10 @@ class Network:
     relations: tuple = ()
     exploiters: frozenset = EXPLOITER_NAMES
     modifiers: tuple = ()
+    # Display name -> class or object (classes and objects share one
+    # namespace), and modifier name -> modifier, built by __post_init__.
+    _nodes: dict = field(default=None, init=False, repr=False, compare=False)
+    _modifiers: dict = field(default=None, init=False, repr=False, compare=False)
     # (node, "out" | "in") -> [(kind, other end)], built by the first query.
     _adjacency: dict | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -127,16 +131,21 @@ class Network:
         unknown = self.exploiters - EXPLOITER_NAMES
         if unknown:
             raise NetworkError(f"unknown exploiters: {sorted(unknown)}")
-        for what, names in (
-            ("object", [o.node_name for o in self.objects]),
-            ("class", [t.name for t in self.classes]),
-            ("modifier", [m.name for m in self.modifiers]),
+        nodes, modifiers = {}, {}
+        for what, index, items in (
+            ("object", nodes, self.objects),
+            ("class", nodes, self.classes),
+            ("modifier", modifiers, self.modifiers),
         ):
-            seen = set()
-            for name in names:
-                if name in seen:
+            for x in items:
+                name = x.node_name if what == "object" else x.name
+                if name in index:
+                    if what == "class" and isinstance(index[name], ObjectInstance):
+                        raise NetworkError(f"class and object share the name {name!r}")
                     raise NetworkError(f"duplicate {what} {name!r}")
-                seen.add(name)
+                index[name] = x
+        object.__setattr__(self, "_nodes", nodes)
+        object.__setattr__(self, "_modifiers", modifiers)
         triples = set()
         for r in self.relations:
             if r.triple in triples:
@@ -149,23 +158,24 @@ class Network:
 
     # --- resolution ---------------------------------------------------------
 
+    def find_node(self, name: str) -> ClassDef | ObjectInstance | None:
+        """The class named `name`, or the object whose display name
+        (identifier, or identifier#cloneIndex) is `name`."""
+        return self._nodes.get(name)
+
     def find_class(self, name: str) -> ClassDef | None:
-        for t in self.classes:
-            if t.name == name:
-                return t
-        return None
+        t = self._nodes.get(name)
+        return t if isinstance(t, ClassDef) else None
 
     def find_object(self, identifier: str, clone_index: int = 0) -> ObjectInstance | None:
-        for o in self.objects:
-            if o.identifier == identifier and o.clone_index == clone_index:
-                return o
+        o = self._nodes.get(f"{identifier}#{clone_index}" if clone_index else identifier)
+        # ("o", 2) displays as "o#2", and so does an object whose identifier is "o#2".
+        if isinstance(o, ObjectInstance) and o.identifier == identifier:
+            return o
         return None
 
     def find_modifier(self, name: str) -> Modifier | None:
-        for m in self.modifiers:
-            if m.name == name:
-                return m
-        return None
+        return self._modifiers.get(name)
 
     def resolve(self, ref: NodeRef):
         node = self._lookup(ref)
@@ -288,7 +298,7 @@ def with_inferred(n: Network, threshold: float = 1.0) -> Network:
 # --- derived nodes -----------------------------------------------------------
 
 
-def _free_index(taken: set, base: str, k: int) -> int:
+def _free_index(taken: dict, base: str, k: int) -> int:
     """The least index from `k` on whose name `base#index` is not taken."""
     while f"{base}#{k}" in taken:
         k += 1
@@ -298,7 +308,7 @@ def _free_index(taken: set, base: str, k: int) -> int:
 def _add_derived(n: Network, node, base: str, dedup: bool) -> tuple[Network, NodeRef]:
     """Link to the first state-equal node of the same kind when `dedup` is
     on; otherwise add `node` under `base`, or `base#k` for the least k >= 2
-    that no node of its kind displays as."""
+    that no class or object displays as."""
     is_class = isinstance(node, ClassDef)
     nodes, ref = (n.classes, class_ref) if is_class else (n.objects, object_ref)
     if dedup:
@@ -306,8 +316,7 @@ def _add_derived(n: Network, node, base: str, dedup: bool) -> tuple[Network, Nod
         existing = next((x for x in nodes if same(x, node)), None)
         if existing is not None:
             return n, ref(existing)
-    taken = {t.name for t in nodes} if is_class else {o.node_name for o in nodes}
-    name = base if base not in taken else f"{base}#{_free_index(taken, base, 2)}"
+    name = base if base not in n._nodes else f"{base}#{_free_index(n._nodes, base, 2)}"
     if is_class:
         node = dataclasses.replace(node, name=name)
         return add_class(n, node), ref(node)
@@ -383,8 +392,7 @@ def apply_exploiter(
             raise NetworkError("clone takes exactly one object operand")
         original = n.resolve(operands[0])
         if clone_index is None:
-            taken = {o.node_name for o in n.objects}
-            clone_index = _free_index(taken, original.identifier, 1)
+            clone_index = _free_index(n._nodes, original.identifier, 1)
         clone = clone_object(original, clone_index)
         if n.find_object(clone.identifier, clone.clone_index) is not None:
             raise NetworkError(

@@ -64,6 +64,20 @@ class TestValidate:
         assert err.count("\n") == 1 and "internal error" not in err
         assert str(path) in err and "not UTF-8" in err
 
+    def test_class_and_object_share_a_name(self, tmp_path, capsys):
+        path = tmp_path / "shared.json"
+        p = {"name": "p", "kind": "quantitative", "units": "cm"}
+        doc = {
+            "format": "oodn/1",
+            "classes": [{"name": "X", "core": {"properties": [p], "methods": []}}],
+            "objects": [{"identifier": "X", "properties": [{**p, "value": 1}], "methods": []}],
+        }
+        path.write_text(json.dumps(doc))
+        for argv in (["validate", str(path)], ["show", str(path), "X"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err == "error: $: class and object share the name 'X'\n"
+
     def test_deep_nesting(self, tmp_path, capsys):
         source = "all_equal(self.side_sizes.values)"
         deep = "(" * 3000 + source + ")" * 3000

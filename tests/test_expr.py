@@ -22,6 +22,7 @@ from oodn.expr import (
     PropRef,
     Sort,
     SortError,
+    Text,
     evaluate,
     expr_equal,
     infer_sort,
@@ -241,6 +242,17 @@ class TestPrint:
 
     def test_string_escaping(self):
         e = parse('"a\\"b"')
+        assert parse(print_expr(e)) == e
+
+    def test_string_escapes_in_one_pass(self):
+        assert parse(r'"\\ \" \n \t"') == Text('\\ " \n \t')
+        # An escaped backslash does not start another escape; other
+        # escapes stay as written.
+        assert parse(r'"\\n \q"') == Text("\\n \\q")
+
+    def test_string_with_nul(self):
+        e = Text("a\x00b")
+        assert parse('"a\x00b"') == e
         assert parse(print_expr(e)) == e
 
     @settings(max_examples=200)

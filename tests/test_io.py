@@ -97,6 +97,17 @@ class TestLoad:
             load_text(bad)
         assert "$.classes[0].core.properties[0].verification" in str(exc.value)
 
+    def test_class_and_object_share_a_name(self):
+        p = {"name": "p", "kind": "quantitative", "units": "cm"}
+        text = doc(
+            classes=[{"name": "X", "core": {"properties": [p], "methods": []}}],
+            objects=[{"identifier": "X", "properties": [{**p, "value": 1}], "methods": []}],
+        )
+        with pytest.raises(LoadError) as exc:
+            load_text(text)
+        assert exc.value.path == "$"
+        assert str(exc.value) == "$: class and object share the name 'X'"
+
     def test_dangling_relation(self):
         bad = doc(
             relations=[

@@ -212,6 +212,34 @@ class TestApplyModifier:
         assert n.resolve(ref).find_property("side_count").value == 3.0
 
 
+class TestNamespace:
+    """Class names and object display names share one namespace."""
+
+    def test_class_and_object_may_not_share_a_name(self):
+        with pytest.raises(NetworkError, match=r"^class and object share the name 'X'$"):
+            Network(objects=(obj("X", qprop("p", value=1)),), classes=(cls("X", qprop("p")),))
+        n = add_class(empty_network(), cls("X", qprop("p")))
+        with pytest.raises(NetworkError, match="share the name 'X'"):
+            add_object(n, obj("X", qprop("p", value=1)))
+
+    def test_class_result_name_skips_object_names(self):
+        n = add_class(empty_network(), cls("a", qprop("p")))
+        n = add_class(n, cls("b", qprop("q")))
+        n = add_object(n, obj("union(a,b)", qprop("p", value=1)))
+        n, ref, _ = apply_exploiter(n, "union", [NodeRef("class", "a"), NodeRef("class", "b")])
+        assert ref == NodeRef("class", "union(a,b)#2")
+
+    def test_object_result_name_skips_class_names(self, polygons):
+        n = add_class(polygons, cls("M1(R_1)(R_1)", qprop("p")))
+        n, ref = apply_modifier(n, "M1(R_1)", NodeRef("object", "R_1"), dedup=False)
+        assert ref == NodeRef("object", "M1(R_1)(R_1)#2")
+
+    def test_clone_index_skips_class_names(self, polygons):
+        n = add_class(polygons, cls("R_1#1", qprop("p")))
+        n, ref, _ = apply_exploiter(n, "clone", [NodeRef("object", "R_1")])
+        assert ref == NodeRef("object", "R_1", 2)
+
+
 class TestApplyExploiter:
     def test_union_adds_node_and_edges(self, polygons):
         refs = [NodeRef("class", "T(R)"), NodeRef("class", "T(S)")]
