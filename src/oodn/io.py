@@ -212,7 +212,7 @@ def load_text(text: str) -> Network:
     network invariant validated before the network is returned."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too many digits, too deep
         raise LoadError(f"not valid JSON: {exc}", "$") from exc
     _expect(doc, dict, "$", "a JSON object")
     fmt = _get(doc, "format", str, "$", "a string")

@@ -44,7 +44,10 @@ class ModelError(OodnError):
 def _coerce_number(v) -> float:
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise ModelError(f"expected a number, got {v!r}")
-    f = float(v)
+    try:
+        f = float(v)
+    except OverflowError:
+        raise ModelError("number out of range") from None
     if not math.isfinite(f):
         raise ModelError(f"value {f} is not a finite number")
     return f

@@ -21,6 +21,7 @@ from .exploiters import (
     class_symmetric_difference,
     class_union,
     clone_object,
+    free_index,
     object_union,
 )
 from .model import (
@@ -114,10 +115,11 @@ class Network:
     relations: tuple = ()
     exploiters: frozenset = EXPLOITER_NAMES
     modifiers: tuple = ()
-    # Display name -> class or object (classes and objects share one
-    # namespace), and modifier name -> modifier, built by __post_init__.
+    # Display name -> class or object (one namespace for both), modifier
+    # name -> modifier, and the relation triples, built by __post_init__.
     _nodes: dict = field(default=None, init=False, repr=False, compare=False)
     _modifiers: dict = field(default=None, init=False, repr=False, compare=False)
+    _triples: set = field(default=None, init=False, repr=False, compare=False)
     # (node, "out" | "in") -> [(kind, other end)], built by the first query.
     _adjacency: dict | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -155,6 +157,7 @@ class Network:
             triples.add(r.triple)
             self._require(r.source)
             self._require(r.target)
+        object.__setattr__(self, "_triples", triples)
 
     # --- resolution ---------------------------------------------------------
 
@@ -221,7 +224,7 @@ def add_modifier(n: Network, m: Modifier) -> Network:
 def declare_relation(n: Network, r: Relation) -> Network:
     n._require(r.source)
     n._require(r.target)
-    if any(r.triple == existing.triple for existing in n.relations):
+    if r.triple in n._triples:
         raise NetworkError(
             f"relation {r.source.display} -{r.kind}-> {r.target.display} already present"
         )
@@ -229,15 +232,13 @@ def declare_relation(n: Network, r: Relation) -> Network:
 
 
 def _append_relations(n: Network, relations: Sequence[Relation]) -> Network:
-    existing = {r.triple for r in n.relations}
-    fresh = []
+    fresh = {}
     for r in relations:
-        if r.triple not in existing:
-            fresh.append(r)
-            existing.add(r.triple)
+        if r.triple not in n._triples:
+            fresh.setdefault(r.triple, r)
     if not fresh:
         return n
-    return dataclasses.replace(n, relations=n.relations + tuple(fresh))
+    return dataclasses.replace(n, relations=n.relations + tuple(fresh.values()))
 
 
 # --- inference ---------------------------------------------------------------
@@ -298,13 +299,6 @@ def with_inferred(n: Network, threshold: float = 1.0) -> Network:
 # --- derived nodes -----------------------------------------------------------
 
 
-def _free_index(taken: dict, base: str, k: int) -> int:
-    """The least index from `k` on whose name `base#index` is not taken."""
-    while f"{base}#{k}" in taken:
-        k += 1
-    return k
-
-
 def _add_derived(n: Network, node, base: str, dedup: bool) -> tuple[Network, NodeRef]:
     """Link to the first state-equal node of the same kind when `dedup` is
     on; otherwise add `node` under `base`, or `base#k` for the least k >= 2
@@ -316,7 +310,7 @@ def _add_derived(n: Network, node, base: str, dedup: bool) -> tuple[Network, Nod
         existing = next((x for x in nodes if same(x, node)), None)
         if existing is not None:
             return n, ref(existing)
-    name = base if base not in n._nodes else f"{base}#{_free_index(n._nodes, base, 2)}"
+    name = base if base not in n._nodes else f"{base}#{free_index(base, 2, n._nodes)}"
     if is_class:
         node = dataclasses.replace(node, name=name)
         return add_class(n, node), ref(node)
@@ -392,7 +386,7 @@ def apply_exploiter(
             raise NetworkError("clone takes exactly one object operand")
         original = n.resolve(operands[0])
         if clone_index is None:
-            clone_index = _free_index(n._nodes, original.identifier, 1)
+            clone_index = free_index(original.identifier, 1, n._nodes)
         clone = clone_object(original, clone_index)
         if n.find_object(clone.identifier, clone.clone_index) is not None:
             raise NetworkError(
@@ -405,15 +399,11 @@ def apply_exploiter(
 
     if op == "union" and operands and all(ref.kind == OBJECT for ref in operands):
         objects = [n.resolve(ref) for ref in operands]
-        result_objects, result = object_union(objects)
-        for o in result_objects:
-            if n.find_object(o.identifier, o.clone_index) is None:
-                n = add_object(n, o)
-        n, result_ref = _add_derived(n, result.class_def, result.class_def.name, dedup)
-        n = _record_result(n, operands, result_ref)
-        return n, result_ref, result
-
-    if op == "union":
+        result_objects, result = object_union(objects, in_use=n._nodes)
+        clones = tuple(o for o, x in zip(result_objects, objects) if o is not x)
+        if clones:
+            n = dataclasses.replace(n, objects=n.objects + clones)
+    elif op == "union":
         classes = _operand_classes(n, operands)
         if len(classes) < 2:
             raise NetworkError("union needs at least two operands")

@@ -56,6 +56,17 @@ class TestValidate:
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and "number out of range" in err
 
+    def test_integer_beyond_float_range(self, tmp_path, capsys):
+        text = fixture_text("polygons.oodn.json").replace(
+            '"units": "count", "value": 4', '"units": "count", "value": 1' + "0" * 400, 1
+        )
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "internal error" not in err
+        assert "number out of range" in err
+
     def test_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "utf16.json"
         path.write_bytes(b"\xff\xfe" + '{"format": "oodn/1"}'.encode("utf-16-le"))

@@ -32,6 +32,11 @@ def doc(**overrides):
     return json.dumps(base)
 
 
+# Integers beyond the range of a float.
+_HUGE_INT = pytest.param("1" + "0" * 400, id="401-digits")
+_HUGE_LIST = pytest.param("[1, -1" + "0" * 400 + "]", id="[1, -401-digits]")
+
+
 class TestLoad:
     def test_polygon_fixture_counts(self, polygons):
         assert len(polygons.classes) == 3
@@ -50,6 +55,19 @@ class TestLoad:
         with pytest.raises(LoadError, match="not valid JSON"):
             load_text("{nope")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param('{"format": 1' + "0" * 5000 + "}", id="5001-digits"),
+            pytest.param("[" * 100_000 + "]" * 100_000, id="deep"),
+        ],
+    )
+    def test_json_beyond_parser_limits(self, text):
+        """An integer with more digits than Python converts, and nesting
+        deeper than the JSON parser recurses."""
+        with pytest.raises(LoadError, match="not valid JSON"):
+            load_text(text)
+
     def test_missing_format(self):
         with pytest.raises(LoadError, match="format"):
             load_text("{}")
@@ -58,7 +76,9 @@ class TestLoad:
         with pytest.raises(LoadError, match="unsupported format"):
             load_text(doc(format="oodn/999"))
 
-    @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN", "true", "[1, Infinity]"])
+    @pytest.mark.parametrize(
+        "value", ["Infinity", "-Infinity", "NaN", "true", "[1, Infinity]", _HUGE_INT]
+    )
     def test_value_must_be_a_finite_number(self, value):
         text = doc(
             objects=[
@@ -70,6 +90,13 @@ class TestLoad:
             ]
         ).replace('"units": "cm"', f'"units": "cm", "value": {value}')
         with pytest.raises(LoadError) as exc:
+            load_text(text)
+        assert "$.objects[0].properties[0]" in str(exc.value)
+
+    def test_degree_must_be_a_finite_number(self):
+        prop = {"name": "q", "kind": "qualitative", "verification": None, "degree": 10**400}
+        text = doc(objects=[{"identifier": "o", "properties": [prop], "methods": []}])
+        with pytest.raises(LoadError, match="number out of range") as exc:
             load_text(text)
         assert "$.objects[0].properties[0]" in str(exc.value)
 
@@ -136,7 +163,9 @@ class TestLoad:
         with pytest.raises(LoadError, match="unknown property kind"):
             load_text(bad)
 
-    @pytest.mark.parametrize("value", ["Infinity", "NaN", "[true]", "[]", '["a"]', "null"])
+    @pytest.mark.parametrize(
+        "value", ["Infinity", "NaN", "[true]", "[]", '["a"]', "null", _HUGE_LIST]
+    )
     def test_set_value_must_be_finite_numbers(self, value):
         edit = {"edit": "setValue", "property": "p", "value": None}
         text = doc(modifiers=[{"name": "m", "target": "class", "edits": [edit]}])

@@ -1,10 +1,12 @@
-"""The per-snapshot name index against a linear scan.
+"""The per-snapshot indices against a linear scan and a fresh snapshot.
 
 Seeded random growth adds classes, objects, clones, minted `name#k`
-nodes, modifiers and unions, with names chosen to collide across kinds
-and with clone display names.  After every step each lookup of the
-network and of the command line must agree with a scan of the node
-tuples written here.
+nodes, modifiers, unions and declared relations, with names chosen to
+collide across kinds and with clone display names.  After every step
+each lookup of the network and of the command line must agree with a
+scan of the node tuples written here, the snapshot must equal the
+network built afresh from its tuples, and every present relation must
+be refused as already present.
 """
 
 from __future__ import annotations
@@ -16,13 +18,16 @@ import pytest
 from oodn import (
     ClassDef,
     Modifier,
+    Network,
     NodeRef,
     OodnError,
+    Relation,
     add_class,
     add_modifier,
     add_object,
     apply_exploiter,
     apply_modifier,
+    declare_relation,
     empty_network,
 )
 from oodn.cli import _resolve_name
@@ -32,7 +37,7 @@ from oodn.network import NetworkError, class_ref, object_ref
 from .helpers import cls, obj, qprop
 
 _CLASS_NAMES = ["a", "b", "o#1", "o#2", "k(o)", "union(a,b)", "union(o,o#1)"]
-_OBJECT_NAMES = ["o", "o#2", "a", "m(a)", "union(a,b)", "k(o)"]
+_OBJECT_NAMES = ["o", "o#1", "o#2", "a", "m(a)", "union(a,b)", "k(o)"]
 _MODIFIERS = [
     Modifier("m", "class", (SetUnits("p", "kg"),)),
     Modifier("k", "object", (SetValue("p", 2.0),)),
@@ -40,10 +45,12 @@ _MODIFIERS = [
 ]
 # Probes besides the present names: names never added, and `base#k` shapes.
 _ABSENT = ["ghost", "o#9", "a#2", "m", "union(a,b)#3"]
+# Relation endpoints that may not resolve.
+_DANGLING = [NodeRef("class", "ghost"), NodeRef("object", "o", 9), NodeRef("object", "a", 1)]
 
 
 def _grow(rng: random.Random, n):
-    step = rng.randrange(7)
+    step = rng.randrange(8)
     classes = [class_ref(t) for t in n.classes]
     objects = [object_ref(o) for o in n.objects]
     if step == 0:
@@ -51,7 +58,8 @@ def _grow(rng: random.Random, n):
         return add_class(n, cls(name, qprop("p"), *[qprop("q")] * rng.randint(0, 1)))
     if step == 1:
         name, index = rng.choice(_OBJECT_NAMES), rng.choice([0, 0, 1, 2])
-        return add_object(n, obj(name, qprop("p", value=1.0), clone_index=index))
+        value = rng.choice([1.0, 7.0])
+        return add_object(n, obj(name, qprop("p", value=value), clone_index=index))
     if step == 2:
         return add_modifier(n, rng.choice(_MODIFIERS))
     if step == 3 and objects:
@@ -67,8 +75,22 @@ def _grow(rng: random.Random, n):
         operands = rng.sample(classes, 2)
         return apply_exploiter(n, "union", operands, dedup=rng.random() < 0.3)[0]
     if step == 6 and objects:
-        operands = [rng.choice(objects), rng.choice(objects)]
-        return apply_exploiter(n, "union", operands, dedup=rng.random() < 0.3)[0]
+        first = rng.choice(objects)
+        operands = [first, rng.choice([first, *objects])]
+        try:
+            grown, _, result = apply_exploiter(n, "union", operands, dedup=rng.random() < 0.3)
+        except OodnError as exc:
+            pytest.fail(f"object union of {operands} raised {exc!r}")
+        # Every object of the union's set is a node of the grown network.
+        assert all(grown.find_object(o.identifier, o.clone_index) == o for o in result.objects)
+        return grown
+    if step == 7:
+        if n.relations and rng.random() < 0.3:
+            r = rng.choice(n.relations)
+            return declare_relation(n, Relation(r.source, r.target, r.kind))
+        ends = classes + objects + _DANGLING
+        kind = rng.choice(["is-a", "instance-of", "operand-of"])
+        return declare_relation(n, Relation(rng.choice(ends), rng.choice(ends), kind))
     return n
 
 
@@ -119,6 +141,11 @@ def _check(n) -> None:
         expected = next((m for m in n.modifiers if m.name == name), None)
         assert n.find_modifier(name) is expected
 
+    assert n == Network(n.objects, n.classes, n.relations, n.exploiters, n.modifiers)
+    for r in n.relations:
+        with pytest.raises(NetworkError, match="already present"):
+            declare_relation(n, r)
+
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_index_agrees_with_linear_scan(seed):
@@ -126,18 +153,22 @@ def test_index_agrees_with_linear_scan(seed):
     n = empty_network()
     rejected = 0
     minted = set()
+    declared = 0
     for _ in range(150):
         try:
             n = _grow(rng, n)
         except OodnError:
             rejected += 1
         _check(n)
+        declared = max(declared, sum(r.provenance == "declared" for r in n.relations))
         if any("#" in t.name and t.name not in _CLASS_NAMES for t in n.classes):
             minted.add("class")
         if any("#" in o.identifier and o.identifier not in _OBJECT_NAMES for o in n.objects):
             minted.add("object")
-    # The growth reaches minted names of both kinds and rejected collisions.
+    # The growth reaches minted names of both kinds, declared relations
+    # and rejected collisions.
     assert minted == {"class", "object"}
+    assert declared > 0
     assert rejected > 0
 
 

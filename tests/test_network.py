@@ -315,6 +315,37 @@ class TestApplyExploiter:
         assert ref.kind == "class"
         assert [o.node_name for o in result.objects] == ["R_1", "R_1#1"]
 
+    def test_object_union_skips_an_identifier_in_use(self):
+        """An object whose identifier is `o#1` takes the name of clone 1."""
+        n = add_object(empty_network(), obj("o", qprop("p", value=1)))
+        n = add_object(n, obj("o#1", qprop("p", value=1)))
+        o = NodeRef("object", "o")
+        grown, ref, result = apply_exploiter(n, "union", [o, o])
+        assert [o.node_name for o in result.objects] == ["o", "o#2"]
+        assert grown.find_object("o", 2) == result.objects[1]
+        assert ref == NodeRef("class", "union(o,o#2)")
+
+    def test_object_union_keeps_a_present_clone(self):
+        n = add_object(empty_network(), obj("o", qprop("p", value=1)))
+        n = add_object(n, obj("o", qprop("p", value=7), clone_index=1))
+        o = NodeRef("object", "o")
+        grown, ref, result = apply_exploiter(n, "union", [o, o])
+        assert grown.find_object("o", 1) is n.find_object("o", 1)
+        assert grown.find_object("o", 2).specification.get("p").value == 1.0
+        assert ref == NodeRef("class", "union(o,o#2)")
+        assert neighbors(grown, ref, "result-of") == (o,)
+
+    def test_object_union_of_a_clone_skips_every_name_in_use(self):
+        n = add_object(empty_network(), obj("o", qprop("p", value=1)))
+        n = add_object(n, obj("o", qprop("p", value=1), clone_index=1))
+        n = add_object(n, obj("o#2", qprop("p", value=1)))
+        n = add_class(n, cls("o#3", qprop("p")))
+        o1 = NodeRef("object", "o", 1)
+        grown, ref, result = apply_exploiter(n, "union", [o1, o1])
+        assert [o.node_name for o in result.objects] == ["o#1", "o#4"]
+        assert grown.find_object("o", 4) == result.objects[1]
+        assert len(grown.objects) == len(n.objects) + 1
+
     def test_disabled_exploiter(self, polygons):
         import dataclasses
 
