@@ -23,6 +23,7 @@ is taken as true when its degree is greater than zero.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -582,7 +583,7 @@ def print_expr(e: Expr) -> str:
 # --- normal form -------------------------------------------------------------
 
 def _key(e: Expr):
-    """Fixed total order on subtrees: variant tag, then children, then payload."""
+    """Fixed total order on subtrees: variant tag, then payload, then children."""
     if isinstance(e, Num):
         return (0, e.value)
     if isinstance(e, Text):
@@ -606,52 +607,17 @@ def _key(e: Expr):
     raise TypeError(f"not an expression node: {e!r}")
 
 
-_COMMUTATIVE_ARITH = ("+", "*")
-_COMMUTATIVE_CMP = ("==", "!=")
+_COMMUTATIVE = frozenset({"+", "*", "==", "!=", "and", "or"})
+_LITERALS = (Num, Text)
 
 
 def normalize(e: Expr) -> Expr:
-    """Canonical normal form: constants folded, commutative operands sorted,
-    double negation removed.  Idempotent and semantics-preserving."""
+    """Canonical normal form: commutative operands sorted, double negation
+    removed, and each operator over literals replaced by the number
+    `evaluate` gives it, unless evaluation fails or overflows (so that
+    every normal form prints).  Idempotent and semantics-preserving."""
     if isinstance(e, (Num, Text, PropRef, ParamRef)):
         return e
-    if isinstance(e, Arith):
-        left, right = normalize(e.left), normalize(e.right)
-        if isinstance(left, Num) and isinstance(right, Num):
-            folded = _fold_arith(e.op, left.value, right.value)
-            if folded is not None:
-                return Num(folded)
-        if e.op in _COMMUTATIVE_ARITH and _key(right) < _key(left):
-            left, right = right, left
-        return Arith(e.op, left, right)
-    if isinstance(e, Compare):
-        left, right = normalize(e.left), normalize(e.right)
-        folded = _fold_compare(e.op, left, right)
-        if folded is not None:
-            return folded
-        if e.op in _COMMUTATIVE_CMP and _key(right) < _key(left):
-            left, right = right, left
-        return Compare(e.op, left, right)
-    if isinstance(e, Not):
-        operand = normalize(e.operand)
-        if isinstance(operand, Not):
-            return operand.operand
-        if isinstance(operand, Num) and 0.0 <= operand.value <= 1.0:
-            return Num(1.0 - operand.value)
-        return Not(operand)
-    if isinstance(e, Connective):
-        left, right = normalize(e.left), normalize(e.right)
-        if (
-            isinstance(left, Num)
-            and isinstance(right, Num)
-            and 0.0 <= left.value <= 1.0
-            and 0.0 <= right.value <= 1.0
-        ):
-            fn = min if e.op == "and" else max
-            return Num(fn(left.value, right.value))
-        if _key(right) < _key(left):
-            left, right = right, left
-        return Connective(e.op, left, right)
     if isinstance(e, Aggregate):
         return Aggregate(e.fn, normalize(e.arg))
     if isinstance(e, If):
@@ -660,42 +626,28 @@ def normalize(e: Expr) -> Expr:
         if isinstance(cond, Num):
             return then if cond.value > 0 else orelse
         return If(cond, then, orelse)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _fold_arith(op: str, a: float, b: float) -> float | None:
-    if op == "+":
-        result = a + b
-    elif op == "-":
-        result = a - b
-    elif op == "*":
-        result = a * b
-    elif b != 0:
-        result = a / b
+    if isinstance(e, Not):
+        operand = normalize(e.operand)
+        if isinstance(operand, Not):
+            return operand.operand
+        e = Not(operand)
+        literal = isinstance(operand, _LITERALS)
+    elif isinstance(e, (Arith, Compare, Connective)):
+        left, right = normalize(e.left), normalize(e.right)
+        if e.op in _COMMUTATIVE and _key(right) < _key(left):
+            left, right = right, left
+        e = type(e)(e.op, left, right)
+        literal = isinstance(left, _LITERALS) and isinstance(right, _LITERALS)
     else:
-        return None  # division by zero stays symbolic; evaluation reports it
-    # An overflow stays symbolic too, so that every normal form prints.
-    return result if math.isfinite(result) else None
-
-
-def _fold_compare(op: str, left: Expr, right: Expr) -> Num | None:
-    if isinstance(left, Num) and isinstance(right, Num):
-        a, b = left.value, right.value
-    elif isinstance(left, Text) and isinstance(right, Text):
-        if op not in ("==", "!="):
-            return None
-        a, b = left.value, right.value
-    else:
-        return None
-    result = {
-        "==": a == b,
-        "!=": a != b,
-        "<": a < b,
-        "<=": a <= b,
-        ">": a > b,
-        ">=": a >= b,
-    }[op]
-    return Num(1.0 if result else 0.0)
+        raise TypeError(f"not an expression node: {e!r}")
+    if literal:
+        try:
+            value = evaluate(e, _NO_CONTEXT)
+        except EvalError:
+            return e
+        if math.isfinite(value):
+            return Num(value)
+    return e
 
 
 def expr_equal(a: Expr, b: Expr) -> bool:
@@ -713,6 +665,9 @@ class EvalContext:
 
     subject: Any = None
     arguments: Mapping[str, Value] = field(default_factory=dict)
+
+
+_NO_CONTEXT = EvalContext()
 
 
 def evaluate(e: Expr, ctx: EvalContext) -> Value:
@@ -787,6 +742,16 @@ def _eval_propref(e: PropRef, ctx: EvalContext) -> Value:
     return float(len(prop.value))
 
 
+_COMPARISONS = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
 def _eval_compare(e: Compare, ctx: EvalContext) -> float:
     a = evaluate(e.left, ctx)
     b = evaluate(e.right, ctx)
@@ -797,15 +762,7 @@ def _eval_compare(e: Compare, ctx: EvalContext) -> float:
         pass
     else:
         raise EvalError("comparison needs two numbers or two texts", e)
-    result = {
-        "==": a == b,
-        "!=": a != b,
-        "<": a < b,
-        "<=": a <= b,
-        ">": a > b,
-        ">=": a >= b,
-    }[e.op]
-    return 1.0 if result else 0.0
+    return 1.0 if _COMPARISONS[e.op](a, b) else 0.0
 
 
 def _eval_aggregate(e: Aggregate, ctx: EvalContext) -> float:

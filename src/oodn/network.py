@@ -403,6 +403,8 @@ def apply_exploiter(
         clones = tuple(o for o, x in zip(result_objects, objects) if o is not x)
         if clones:
             n = dataclasses.replace(n, objects=n.objects + clones)
+        # The result's edges name its objects, so each clone is linked too.
+        operands = [object_ref(o) for o in result_objects]
     elif op == "union":
         classes = _operand_classes(n, operands)
         if len(classes) < 2:

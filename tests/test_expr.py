@@ -277,6 +277,23 @@ class TestNormalize:
         assert normalize(parse("4 > 3")) == Num(1.0)
         assert normalize(parse("not 1")) == Num(0.0)
         assert normalize(parse("if 1 > 0 then x else y")) == ParamRef("x")
+        # An operator over literals folds exactly when it evaluates to a
+        # finite number; otherwise it stays symbolic, operands sorted.
+        for source, normal_form in [
+            ("not 5", "not 5"),
+            ("not 0.25", "0.75"),
+            ("0.5 and 2", "0.5 and 2"),
+            ("0.5 or 0.25", "0.5"),
+            ('"a" < "b"', '"a" < "b"'),
+            ('"a" == "a"', "1"),
+            ('"b" != "a"', "1"),
+            ('1 + "a"', '1 + "a"'),
+            ('1 == "a"', '1 == "a"'),
+            ("if 5 then x else y", "x"),
+            ("1e308 * 10", "10 * 1e+308"),
+            ("not (not 0.3)", "0.30000000000000004"),
+        ]:
+            assert print_expr(normalize(parse(source))) == normal_form, source
 
     def test_division_by_zero_stays_symbolic(self):
         e = normalize(parse("1 / 0"))

@@ -333,7 +333,18 @@ class TestApplyExploiter:
         assert grown.find_object("o", 1) is n.find_object("o", 1)
         assert grown.find_object("o", 2).specification.get("p").value == 1.0
         assert ref == NodeRef("class", "union(o,o#2)")
-        assert neighbors(grown, ref, "result-of") == (o,)
+        assert neighbors(grown, ref, "result-of") == (o, NodeRef("object", "o", 2))
+
+    def test_object_union_links_its_clone(self):
+        """The clone a union mints is an operand of the union's class,
+        like the object it repeats."""
+        n = add_object(empty_network(), obj("o", qprop("p", value=1)))
+        o, clone = NodeRef("object", "o"), NodeRef("object", "o", 1)
+        grown, ref, _ = apply_exploiter(n, "union", [o, o])
+        assert neighbors(grown, clone, direction="both") == (ref,)
+        assert neighbors(grown, clone, "operand-of") == (ref,)
+        assert neighbors(grown, ref, "result-of") == (o, clone)
+        assert neighbors(grown, ref, "operand-of", direction="in") == (o, clone)
 
     def test_object_union_of_a_clone_skips_every_name_in_use(self):
         n = add_object(empty_network(), obj("o", qprop("p", value=1)))
