@@ -280,8 +280,17 @@ def _cmd_export_dot(args) -> int:
 # --- argument parsing --------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a rejected command line instead of printing the usage text
+    and exiting, so that `main` reports it as one `error:` line.  Its
+    subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="oodn",
         description="Work with object/class concept networks: run set-theoretic "
         "operations, apply modifiers, infer relations, query and export graphs.",
@@ -344,17 +353,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_line(exc: BaseException) -> str:
+    return " ".join(str(exc).split())
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except (OSError, OodnError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except argparse.ArgumentError as exc:  # rejected by the parser; may quote argv
+        print(f"error: {_one_line(exc)}", file=sys.stderr)
+        return EXIT_ERROR
     except Exception as exc:  # a defect: still one line and exit 2, never a traceback
-        message = " ".join(str(exc).split())
-        print(f"error: internal error ({type(exc).__name__}): {message}", file=sys.stderr)
+        print(f"error: internal error ({type(exc).__name__}): {_one_line(exc)}", file=sys.stderr)
         return EXIT_ERROR
 
 

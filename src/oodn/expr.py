@@ -671,42 +671,26 @@ _NO_CONTEXT = EvalContext()
 
 
 def evaluate(e: Expr, ctx: EvalContext) -> Value:
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Text):
-        return e.value
-    if isinstance(e, PropRef):
-        return _eval_propref(e, ctx)
-    if isinstance(e, ParamRef):
-        if e.name not in ctx.arguments:
-            raise EvalError(f"unresolved parameter {e.name!r}", e)
-        return ctx.arguments[e.name]
-    if isinstance(e, Arith):
-        a = _number(evaluate(e.left, ctx), e.left)
-        b = _number(evaluate(e.right, ctx), e.right)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if b == 0:
-            raise EvalError("division by zero", e)
-        return a / b
-    if isinstance(e, Compare):
-        return _eval_compare(e, ctx)
-    if isinstance(e, Not):
-        return 1.0 - _degree(evaluate(e.operand, ctx), e.operand)
-    if isinstance(e, Connective):
-        a = _degree(evaluate(e.left, ctx), e.left)
-        b = _degree(evaluate(e.right, ctx), e.right)
-        return min(a, b) if e.op == "and" else max(a, b)
-    if isinstance(e, Aggregate):
-        return _eval_aggregate(e, ctx)
-    if isinstance(e, If):
-        cond = _degree(evaluate(e.condition, ctx), e.condition)
-        return evaluate(e.then if cond > 0 else e.orelse, ctx)
-    raise TypeError(f"not an expression node: {e!r}")
+    """The value of `e` for the subject and arguments of `ctx`.
+
+    `_RULES` maps each node type to the rule that evaluates it, so one
+    node costs one dict read; a rule evaluates its children through
+    `evaluate` again."""
+    try:
+        rule = _RULES[type(e)]
+    except KeyError:
+        raise TypeError(f"not an expression node: {e!r}") from None
+    return rule(e, ctx)
+
+
+def _eval_literal(e: Num | Text, ctx: EvalContext) -> Value:
+    return e.value
+
+
+def _eval_param(e: ParamRef, ctx: EvalContext) -> Value:
+    if e.name not in ctx.arguments:
+        raise EvalError(f"unresolved parameter {e.name!r}", e)
+    return ctx.arguments[e.name]
 
 
 def _eval_propref(e: PropRef, ctx: EvalContext) -> Value:
@@ -742,6 +726,20 @@ def _eval_propref(e: PropRef, ctx: EvalContext) -> Value:
     return float(len(prop.value))
 
 
+def _eval_arith(e: Arith, ctx: EvalContext) -> float:
+    a = _number(evaluate(e.left, ctx), e.left)
+    b = _number(evaluate(e.right, ctx), e.right)
+    if e.op == "+":
+        return a + b
+    if e.op == "-":
+        return a - b
+    if e.op == "*":
+        return a * b
+    if b == 0:
+        raise EvalError("division by zero", e)
+    return a / b
+
+
 _COMPARISONS = {
     "==": operator.eq,
     "!=": operator.ne,
@@ -755,14 +753,23 @@ _COMPARISONS = {
 def _eval_compare(e: Compare, ctx: EvalContext) -> float:
     a = evaluate(e.left, ctx)
     b = evaluate(e.right, ctx)
-    if isinstance(a, str) and isinstance(b, str):
-        if e.op not in ("==", "!="):
-            raise EvalError(f"ordering '{e.op}' is not defined for text", e)
-    elif isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        pass
-    else:
-        raise EvalError("comparison needs two numbers or two texts", e)
+    if type(a) is not float or type(b) is not float:  # two floats are the common case
+        if isinstance(a, str) and isinstance(b, str):
+            if e.op not in ("==", "!="):
+                raise EvalError(f"ordering '{e.op}' is not defined for text", e)
+        elif not (isinstance(a, (int, float)) and isinstance(b, (int, float))):
+            raise EvalError("comparison needs two numbers or two texts", e)
     return 1.0 if _COMPARISONS[e.op](a, b) else 0.0
+
+
+def _eval_not(e: Not, ctx: EvalContext) -> float:
+    return 1.0 - _degree(evaluate(e.operand, ctx), e.operand)
+
+
+def _eval_connective(e: Connective, ctx: EvalContext) -> float:
+    a = _degree(evaluate(e.left, ctx), e.left)
+    b = _degree(evaluate(e.right, ctx), e.right)
+    return min(a, b) if e.op == "and" else max(a, b)
 
 
 def _eval_aggregate(e: Aggregate, ctx: EvalContext) -> float:
@@ -783,6 +790,25 @@ def _eval_aggregate(e: Aggregate, ctx: EvalContext) -> float:
     return 1.0 if all(v == arg[0] for v in arg) else 0.0
 
 
+def _eval_if(e: If, ctx: EvalContext) -> Value:
+    cond = _degree(evaluate(e.condition, ctx), e.condition)
+    return evaluate(e.then if cond > 0 else e.orelse, ctx)
+
+
+_RULES = {
+    Num: _eval_literal,
+    Text: _eval_literal,
+    PropRef: _eval_propref,
+    ParamRef: _eval_param,
+    Arith: _eval_arith,
+    Compare: _eval_compare,
+    Not: _eval_not,
+    Connective: _eval_connective,
+    Aggregate: _eval_aggregate,
+    If: _eval_if,
+}
+
+
 def _number(v: Value, node: Expr) -> float:
     if isinstance(v, (int, float)):
         return float(v)
@@ -790,7 +816,7 @@ def _number(v: Value, node: Expr) -> float:
 
 
 def _degree(v: Value, node: Expr) -> float:
-    n = _number(v, node)
+    n = v if type(v) is float else _number(v, node)
     if not 0.0 <= n <= 1.0:
         raise EvalError(f"degree out of range: {n}", node)
     return n

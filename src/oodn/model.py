@@ -399,9 +399,10 @@ def satisfies(o: ObjectInstance, t: ClassDef, threshold: float = 1.0) -> float:
     `threshold` for a crisp instance-of decision."""
     core = require_homogeneous(t, "satisfies")
     check_threshold(threshold)
+    ctx = EvalContext(subject=o)
     score = 1.0
     for m in (*core.specification, *core.signature):
-        score = min(score, member_score(o, m))
+        score = min(score, member_score(o, m, ctx))
         if score == 0.0:
             return 0.0
     return score
@@ -412,42 +413,36 @@ def check_threshold(threshold: float) -> None:
         raise ModelError(f"threshold must lie in (0, 1], got {threshold}")
 
 
-def member_score(o: ObjectInstance, m: Member) -> float:
+def member_score(o: ObjectInstance, m: Member, ctx: EvalContext) -> float:
     """Degree to which `o` meets one class member; depends only on `o` and
-    the member's value."""
+    the member's value.  `ctx` is `EvalContext(subject=o)`, built once per
+    object by the caller."""
     if isinstance(m, Method):
-        return _method_score(o, m)
-    return _property_score(o, m)
-
-
-def _property_score(o: ObjectInstance, p: Property) -> float:
-    own = o.find_property(p.name)
-    if isinstance(p, QuantitativeProperty):
-        if isinstance(own, QuantitativeProperty) and own.units == p.units:
+        own = o.signature.get(m.name)
+        if own is None or own.arity != m.arity:
+            return 0.0
+        # An abstract requirement is met by name + arity alone.
+        return 1.0 if m.body is None or own.key == m.key else 0.0
+    if isinstance(m, QuantitativeProperty):
+        own = o.find_property(m.name)
+        if isinstance(own, QuantitativeProperty) and own.units == m.units:
             return 1.0
         return 0.0
-    if p.verification is not None:
+    if m.verification is not None:
         try:
-            result = evaluate(p.verification, EvalContext(subject=o))
+            result = evaluate(m.verification, ctx)
         except EvalError as exc:
             raise EvalError(
-                f"verification of property {p.name!r} failed on "
+                f"verification of property {m.name!r} failed on "
                 f"{o.node_name}: {exc}",
                 exc.node,
             ) from exc
         return float(result)
     # Opaque qualitative requirement: use the instance's stored degree.
+    own = o.find_property(m.name)
     if isinstance(own, QualitativeProperty) and own.degree is not None:
         return own.degree
     return 0.0
-
-
-def _method_score(o: ObjectInstance, m: Method) -> float:
-    own = o.signature.get(m.name)
-    if own is None or own.arity != m.arity:
-        return 0.0
-    # An abstract requirement is met by name + arity alone.
-    return 1.0 if m.body is None or own.key == m.key else 0.0
 
 
 def subsumes(general: ClassDef, specific: ClassDef) -> bool:

@@ -24,6 +24,7 @@ from .exploiters import (
     free_index,
     object_union,
 )
+from .expr import EvalContext
 from .model import (
     ClassDef,
     ObjectInstance,
@@ -252,36 +253,51 @@ def infer_relations(n: Network, threshold: float = 1.0) -> tuple:
 
     Equal class members share one slot, scored at most once per object,
     so the result equals `satisfies(o, t, threshold) >= threshold` per
-    pair without re-evaluating a member that several classes list."""
+    pair without re-evaluating a member that several classes list.  Slots
+    are bucketed by the member's cached key and matched by `==` inside a
+    bucket, since key-equal members may differ in value.  A proper subset
+    is smaller, so only pairs of different sizes reach `subsumes`."""
     homogeneous = [t for t in n.classes if t.is_homogeneous]
+    sizes = [len(t.core.member_keys) for t in homogeneous]
     edges = []
     subsuming = set()
     for i, general in enumerate(homogeneous):
         for j, specific in enumerate(homogeneous):
-            if i != j and subsumes(general, specific):
+            if sizes[i] < sizes[j] and subsumes(general, specific):
                 subsuming.add((i, j))
                 edges.append(
                     Relation(class_ref(specific), class_ref(general), "a-kind-of", "inferred")
                 )
     if n.objects and homogeneous:
         check_threshold(threshold)
-    slots = {}
-    rows = [
-        [slots.setdefault(m, len(slots)) for m in (*t.core.specification, *t.core.signature)]
-        for t in homogeneous
-    ]
-    members = list(slots)
+    members, buckets, rows = [], {}, []
+    for t in homogeneous:
+        row = []
+        for m in (*t.core.specification, *t.core.signature):
+            bucket = buckets.setdefault(m.key, [])
+            for s in bucket:
+                if members[s] == m:
+                    break
+            else:
+                s = len(members)
+                members.append(m)
+                bucket.append(s)
+            row.append(s)
+        rows.append(row)
     for o in n.objects:
+        ctx = EvalContext(subject=o)
         scores = [None] * len(members)
         satisfied = []
         for i, row in enumerate(rows):
             score = 1.0
             for s in row:
-                if scores[s] is None:
-                    scores[s] = member_score(o, members[s])
-                score = min(score, scores[s])
-                if score == 0.0:
-                    break
+                v = scores[s]
+                if v is None:
+                    v = scores[s] = member_score(o, members[s], ctx)
+                if v < score:
+                    score = v
+                    if score == 0.0:
+                        break
             if score >= threshold:
                 satisfied.append(i)
         for i in satisfied:

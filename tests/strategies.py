@@ -5,6 +5,9 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from oodn.expr import (
+    AGGREGATES,
+    CMP_OPS,
+    REF_ATTRS,
     Aggregate,
     Arith,
     Compare,
@@ -14,6 +17,7 @@ from oodn.expr import (
     Num,
     ParamRef,
     PropRef,
+    Text,
 )
 
 from .helpers import cls, meth, qprop, qual
@@ -70,6 +74,49 @@ def expressions():
     for _ in range(3):
         number, degree = _extend((number, degree))
     return st.one_of(number, degree)
+
+
+_text_leaf = st.one_of(
+    st.sampled_from(["cm", "kg", ""]).map(Text), _PROP.map(lambda p: PropRef(p, "units"))
+)
+_any_leaf = st.one_of(
+    st.one_of(_finite, st.sampled_from([0.0, 0.5, 1.0, 2.0])).map(lambda v: Num(float(v))),
+    _text_leaf,
+    _IDENT.map(ParamRef),
+    st.tuples(_PROP, st.sampled_from(REF_ATTRS)).map(lambda t: PropRef(*t)),
+)
+
+
+def _either(a, b):
+    """A draw of `a` or of `b`, half the time each; `st.one_of(a, b)` would
+    flatten the branches of `b` and draw `a` less often."""
+    return st.tuples(st.booleans(), a, b).map(lambda t: t[1] if t[0] else t[2])
+
+
+def _operators(sub):
+    """One node of each operator type over `sub` trees.  A comparison
+    operand is text half the time, and an aggregate takes a parameter half
+    the time."""
+    return st.one_of(
+        st.tuples(st.sampled_from(["+", "-", "*", "/"]), sub, sub).map(lambda t: Arith(*t)),
+        st.tuples(st.sampled_from(CMP_OPS), *[_either(_text_leaf, sub)] * 2).map(
+            lambda t: Compare(*t)
+        ),
+        sub.map(Not),
+        st.tuples(st.sampled_from(["and", "or"]), sub, sub).map(lambda t: Connective(*t)),
+        st.tuples(
+            st.sampled_from(AGGREGATES), _either(_IDENT.map(ParamRef), st.one_of(_list_ref, sub))
+        ).map(lambda t: Aggregate(*t)),
+        st.tuples(sub, sub, sub).map(lambda t: If(*t)),
+    )
+
+
+def unsorted_expressions():
+    """Trees of every node type in any arrangement, well-sorted or not
+    (text in arithmetic, units in comparisons, aggregates of scalars), for
+    tests of evaluation and its errors: an operator over leaves or over
+    operators over leaves."""
+    return _operators(st.one_of(_any_leaf, _operators(_any_leaf)))
 
 
 # --- classes -----------------------------------------------------------------

@@ -319,3 +319,36 @@ class TestExportDot:
         out_path = tmp_path / "graph.dot"
         assert main(["export-dot", polygons_path, "--out", str(out_path)]) == 0
         check_dot(out_path.read_text())
+
+
+class TestRejectedCommandLine:
+    """A command line the argument parser rejects exits 2 with one
+    `error:` line on stderr and no usage text.  Only the start of each
+    line is pinned: argparse words its list of choices differently
+    across Python versions."""
+
+    @pytest.mark.parametrize(
+        "argv, start",
+        [
+            (["op"], "error: the following arguments are required: file, exploiter, operands"),
+            (
+                ["op", "{file}", "clone", "R_1", "--index", "abc"],
+                "error: argument --index: invalid int value: 'abc'",
+            ),
+            (["op", "{file}", "merge", "T(R)"], "error: argument exploiter: invalid choice: 'merge'"),
+            (["frobnicate", "{file}"], "error: argument command: invalid choice: 'frobnicate'"),
+            (["validate", "{file}", "--bad", "a\nb"], "error: unrecognized arguments: --bad a b"),
+        ],
+        ids=["missing-positional", "index-not-int", "unknown-exploiter", "unknown-command", "unknown-flag"],
+    )
+    def test_one_error_line(self, polygons_path, capsys, argv, start):
+        assert main([a.format(file=polygons_path) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(start) and err.count("\n") == 1 and err.endswith("\n")
+
+    def test_help_still_prints_usage_and_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["op", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: oodn op ")

@@ -5,6 +5,8 @@ Hypothesis draws one of the seven commands with a document (a fixture,
 (present, minted-looking and bad ones) and the command's flags.  Every
 call must exit 0, 1 or 2; exit 1 must mean an absent `op` result; stderr
 holds at most one line, and never a traceback or an internal error.
+It also draws calls that the argument parser rejects; each of those
+exits 2 with exactly one `error:` line on stderr and nothing on stdout.
 """
 
 from __future__ import annotations
@@ -97,6 +99,42 @@ def _argvs(draw) -> list:
     return argv
 
 
+# For each command, arguments that argparse refuses when appended to an
+# accepted call: a bad option value, an option without its value, an
+# explicit value for a flag, an extra positional or another command's
+# option.
+_BAD_TAILS = {
+    "validate": [["--out", "x"], ["--json=yes"], ["extra"]],
+    "show": [["a", "b"], ["--json=yes"], ["--index", "1"]],
+    "op": [["--index", "abc"], ["--index", "1.5"], ["--index"], ["--no-dedup=1"]],
+    "modify": [["--out"], ["--no-dedup=1"], ["extra"]],
+    "infer": [["--threshold", "abc"], ["--threshold"], ["extra"]],
+    "query": [["--direction", "up"], ["--kind"], ["extra"]],
+    "export-dot": [["--out"], ["--threshold", "1"], ["extra"]],
+}
+
+
+@st.composite
+def _rejected_argvs(draw) -> list:
+    """An accepted call with one change that the argument parser rejects:
+    an unknown command, an unknown flag anywhere, missing positionals, a
+    bad choice or a bad tail from `_BAD_TAILS`."""
+    argv = draw(_argvs())
+    command = argv[0]
+    change = draw(st.sampled_from(["command", "flag", "positionals", "choice", "tail"]))
+    if change == "command":
+        argv[0] = draw(st.sampled_from(["frobnicate", "", "Validate", "-", "op\n"]))
+    elif change == "flag":
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--frob", "-z", "--x=1"])))
+    elif change == "positionals":
+        argv = argv[: 3 if command == "op" and draw(st.booleans()) else 1]
+    elif change == "choice" and command in ("op", "query"):
+        argv[2] = draw(st.sampled_from(["merge", "", "Union", "instances"]))
+    else:
+        argv += draw(st.sampled_from(_BAD_TAILS[command]))
+    return argv
+
+
 @pytest.fixture(scope="module")
 def paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -130,3 +168,16 @@ def test_exit_contract(paths, argv):
             assert json.loads(out)["exists"] is False
         else:
             assert out.startswith("result does not exist: ")
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_rejected_argvs())
+def test_rejected_call_is_one_error_line(paths, argv):
+    argv = [a.format(**paths) if a.startswith("{") and a.endswith("}") else a for a in argv]
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert (code, out.getvalue()) == (2, "")
+    err = err.getvalue()
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err and "internal error" not in err and "usage:" not in err
