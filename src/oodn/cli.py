@@ -346,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_query)
 
     p = sub.add_parser("export-dot", help="export the network as a DOT digraph")
-    common(p, out=False)
+    p.add_argument("file", help="network document (.oodn.json)")
     p.add_argument("--out", help="write DOT here instead of stdout")
     p.set_defaults(fn=_cmd_export_dot)
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterator, Mapping, NoReturn, Union
@@ -65,7 +66,6 @@ class EvalError(ExprError):
 
 REF_ATTRS = ("value", "units", "values", "count")
 AGGREGATES = ("sum", "min", "max", "count", "all_equal")
-CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,8 @@ class Num:
     value: float
 
     def __post_init__(self):
+        if isinstance(self.value, bool):
+            raise ExprError(f"a bool is not a number: {self.value}")
         if not math.isfinite(self.value):
             raise ExprError(f"number {self.value} is not finite")
 
@@ -137,6 +139,34 @@ class If:
 
 
 Expr = Union[Num, Text, PropRef, ParamRef, Arith, Compare, Not, Connective, Aggregate, If]
+
+
+# Every binary operator: its binding level (a higher level binds more
+# tightly), the node it builds, whether `normalize` may swap its operands,
+# and the function `evaluate` applies to the two operand values.  Each
+# associates to the left, except the comparisons, which do not chain.
+_Operator = namedtuple("_Operator", "prec node commutative meaning")
+_BINARY = {
+    "or": _Operator(1, Connective, True, max),
+    "and": _Operator(2, Connective, True, min),
+    "==": _Operator(4, Compare, True, operator.eq),
+    "!=": _Operator(4, Compare, True, operator.ne),
+    "<": _Operator(4, Compare, False, operator.lt),
+    "<=": _Operator(4, Compare, False, operator.le),
+    ">": _Operator(4, Compare, False, operator.gt),
+    ">=": _Operator(4, Compare, False, operator.ge),
+    "+": _Operator(5, Arith, True, operator.add),
+    "-": _Operator(5, Arith, False, operator.sub),
+    "*": _Operator(6, Arith, True, operator.mul),
+    "/": _Operator(6, Arith, False, operator.truediv),
+}
+CMP_OPS = tuple(op for op, row in _BINARY.items() if row.node is Compare)
+
+# The other binding levels.
+_PREC_IF = 0
+_PREC_OR = _BINARY["or"].prec  # the loosest binary level
+_PREC_NOT = 3  # between "and" and the comparisons
+_PREC_ATOM = 9
 
 
 def children(e: Expr) -> tuple:
@@ -389,53 +419,30 @@ class _Parser:
             orelse = self.expr()
             e = If(cond, then, orelse)
         else:
-            e = self.orexpr()
+            e = self.binary(_PREC_OR)
         self.depth -= 1
         return e
 
-    def orexpr(self) -> Expr:
-        e = self.andexpr()
-        while self.text == "or":
-            self.operator()
-            e = Connective("or", e, self.andexpr())
-        return e
-
-    def andexpr(self) -> Expr:
-        e = self.notexpr()
-        while self.text == "and":
-            self.operator()
-            e = Connective("and", e, self.notexpr())
-        return e
-
-    def notexpr(self) -> Expr:
-        if self.text == "not":
+    def binary(self, lowest: int) -> Expr:
+        """Precedence climbing over `_BINARY`: an operand, then each operator
+        binding at least as tightly as `lowest`, the tighter ones on its right.
+        `highest` caps the next operator: after an operator, its own level or
+        looser (left association); after a comparison, only looser (no chains)."""
+        highest = _PREC_ATOM
+        if self.text == "not" and lowest <= _PREC_NOT:
             self.advance()
             self.nest()
-            e = Not(self.notexpr())
+            e = Not(self.binary(_PREC_NOT))
             self.depth -= 1
-            return e
-        return self.comparison()
-
-    def comparison(self) -> Expr:
-        e = self.additive()
-        if self.text in CMP_OPS:
-            op = self.operator()
-            e = Compare(op, e, self.additive())
-        return e
-
-    def additive(self) -> Expr:
-        e = self.multiplicative()
-        while self.text in ("+", "-"):
-            op = self.operator()
-            e = Arith(op, e, self.multiplicative())
-        return e
-
-    def multiplicative(self) -> Expr:
-        e = self.unary()
-        while self.text in ("*", "/"):
-            op = self.operator()
-            e = Arith(op, e, self.unary())
-        return e
+            highest = _PREC_NOT - 1
+        else:
+            e = self.unary()
+        while True:
+            row = _BINARY.get(self.text)
+            if row is None or not lowest <= row.prec <= highest:
+                return e
+            e = row.node(self.operator(), e, self.binary(row.prec + 1))
+            highest = row.prec - 1 if row.node is Compare else row.prec
 
     def unary(self) -> Expr:
         if self.text == "-":
@@ -508,27 +515,13 @@ def parse(source: str) -> Expr:
 
 # --- printer -----------------------------------------------------------------
 
-_PREC_IF = 0
-_PREC_OR = 1
-_PREC_AND = 2
-_PREC_NOT = 3
-_PREC_CMP = 4
-_PREC_ADD = 5
-_PREC_MUL = 6
-_PREC_ATOM = 9
-
-
 def _prec(e: Expr) -> int:
+    if isinstance(e, (Arith, Compare, Connective)):
+        return _BINARY[e.op].prec
     if isinstance(e, If):
         return _PREC_IF
-    if isinstance(e, Connective):
-        return _PREC_OR if e.op == "or" else _PREC_AND
     if isinstance(e, Not):
         return _PREC_NOT
-    if isinstance(e, Compare):
-        return _PREC_CMP
-    if isinstance(e, Arith):
-        return _PREC_ADD if e.op in ("+", "-") else _PREC_MUL
     return _PREC_ATOM
 
 
@@ -547,18 +540,11 @@ def _render(e: Expr) -> str:
         return f"self.{e.prop}.{e.attr}"
     if isinstance(e, ParamRef):
         return e.name
-    if isinstance(e, Arith):
-        p = _prec(e)
-        return f"{_child(e.left, p, tight=False)} {e.op} {_child(e.right, p, tight=True)}"
-    if isinstance(e, Compare):
-        p = _prec(e)
-        # Comparison is non-chaining: parenthesize comparison operands.
-        return f"{_child(e.left, p, tight=True)} {e.op} {_child(e.right, p, tight=True)}"
+    if isinstance(e, (Arith, Compare, Connective)):
+        p, tight = _BINARY[e.op].prec, isinstance(e, Compare)  # comparisons do not chain
+        return f"{_child(e.left, p, tight)} {e.op} {_child(e.right, p, tight=True)}"
     if isinstance(e, Not):
         return f"not {_child(e.operand, _PREC_NOT, tight=False)}"
-    if isinstance(e, Connective):
-        p = _prec(e)
-        return f"{_child(e.left, p, tight=False)} {e.op} {_child(e.right, p, tight=True)}"
     if isinstance(e, Aggregate):
         return f"{e.fn}({_render(e.arg)})"
     if isinstance(e, If):
@@ -607,7 +593,6 @@ def _key(e: Expr):
     raise TypeError(f"not an expression node: {e!r}")
 
 
-_COMMUTATIVE = frozenset({"+", "*", "==", "!=", "and", "or"})
 _LITERALS = (Num, Text)
 
 
@@ -634,7 +619,7 @@ def normalize(e: Expr) -> Expr:
         literal = isinstance(operand, _LITERALS)
     elif isinstance(e, (Arith, Compare, Connective)):
         left, right = normalize(e.left), normalize(e.right)
-        if e.op in _COMMUTATIVE and _key(right) < _key(left):
+        if _BINARY[e.op].commutative and _key(right) < _key(left):
             left, right = right, left
         e = type(e)(e.op, left, right)
         literal = isinstance(left, _LITERALS) and isinstance(right, _LITERALS)
@@ -716,38 +701,17 @@ def _eval_propref(e: PropRef, ctx: EvalContext) -> Value:
         if prop.degree is None:
             raise EvalError(f"property {e.prop!r} has no stored degree", e)
         return prop.degree
-    if e.attr == "values":
-        if not quantitative or not isinstance(prop.value, tuple):
-            raise EvalError(f"property {e.prop!r} is not list-valued", e)
-        return prop.value
-    # count
     if not quantitative or not isinstance(prop.value, tuple):
         raise EvalError(f"property {e.prop!r} is not list-valued", e)
-    return float(len(prop.value))
+    return prop.value if e.attr == "values" else float(len(prop.value))
 
 
 def _eval_arith(e: Arith, ctx: EvalContext) -> float:
     a = _number(evaluate(e.left, ctx), e.left)
     b = _number(evaluate(e.right, ctx), e.right)
-    if e.op == "+":
-        return a + b
-    if e.op == "-":
-        return a - b
-    if e.op == "*":
-        return a * b
-    if b == 0:
+    if b == 0 and e.op == "/":
         raise EvalError("division by zero", e)
-    return a / b
-
-
-_COMPARISONS = {
-    "==": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
+    return _BINARY[e.op].meaning(a, b)
 
 
 def _eval_compare(e: Compare, ctx: EvalContext) -> float:
@@ -757,9 +721,9 @@ def _eval_compare(e: Compare, ctx: EvalContext) -> float:
         if isinstance(a, str) and isinstance(b, str):
             if e.op not in ("==", "!="):
                 raise EvalError(f"ordering '{e.op}' is not defined for text", e)
-        elif not (isinstance(a, (int, float)) and isinstance(b, (int, float))):
+        elif not (_is_number(a) and _is_number(b)):
             raise EvalError("comparison needs two numbers or two texts", e)
-    return 1.0 if _COMPARISONS[e.op](a, b) else 0.0
+    return 1.0 if _BINARY[e.op].meaning(a, b) else 0.0
 
 
 def _eval_not(e: Not, ctx: EvalContext) -> float:
@@ -769,7 +733,7 @@ def _eval_not(e: Not, ctx: EvalContext) -> float:
 def _eval_connective(e: Connective, ctx: EvalContext) -> float:
     a = _degree(evaluate(e.left, ctx), e.left)
     b = _degree(evaluate(e.right, ctx), e.right)
-    return min(a, b) if e.op == "and" else max(a, b)
+    return _BINARY[e.op].meaning(a, b)
 
 
 def _eval_aggregate(e: Aggregate, ctx: EvalContext) -> float:
@@ -809,8 +773,13 @@ _RULES = {
 }
 
 
+def _is_number(v: Value) -> bool:
+    """A bool is not a number, although Python makes it an int."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _number(v: Value, node: Expr) -> float:
-    if isinstance(v, (int, float)):
+    if type(v) is float or _is_number(v):
         return float(v)
     raise EvalError("expected a number", node)
 

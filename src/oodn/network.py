@@ -309,6 +309,10 @@ def infer_relations(n: Network, threshold: float = 1.0) -> tuple:
 
 
 def with_inferred(n: Network, threshold: float = 1.0) -> Network:
+    """`n` plus its inferred relations.  Unlike `infer_relations`, which
+    tests `threshold` only where an object meets a class, this rejects a
+    threshold outside (0, 1] on every network."""
+    check_threshold(threshold)
     return _append_relations(n, infer_relations(n, threshold))
 
 

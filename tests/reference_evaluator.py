@@ -117,7 +117,7 @@ def _eval_compare(e: Compare, ctx: EvalContext) -> float:
     if isinstance(a, str) and isinstance(b, str):
         if e.op not in ("==", "!="):
             raise EvalError(f"ordering '{e.op}' is not defined for text", e)
-    elif isinstance(a, (int, float)) and isinstance(b, (int, float)):
+    elif _is_number(a) and _is_number(b):
         pass
     else:
         raise EvalError("comparison needs two numbers or two texts", e)
@@ -142,8 +142,12 @@ def _eval_aggregate(e: Aggregate, ctx: EvalContext) -> float:
     return 1.0 if all(v == arg[0] for v in arg) else 0.0
 
 
+def _is_number(v: Value) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)  # a bool is no number
+
+
 def _number(v: Value, node: Expr) -> float:
-    if isinstance(v, (int, float)):
+    if _is_number(v):
         return float(v)
     raise EvalError("expected a number", node)
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from oodn import fixture_text, load_file
+from oodn import empty_network, fixture_text, load_file, save_text
 from oodn.cli import main
 
 from .helpers import check_dot
@@ -285,6 +285,16 @@ class TestInferAndQuery:
         assert main(["query", enriched, "instances-of", "T(R)"]) == 0
         assert "R_1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("threshold", ["7", "nan", "0"])
+    def test_bad_threshold_on_every_document(self, polygons_path, tmp_path, capsys, threshold):
+        empty = tmp_path / "empty.oodn.json"
+        empty.write_text(save_text(empty_network()))
+        for path in (str(empty), polygons_path):
+            assert main(["infer", path, "--threshold", threshold]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: threshold must lie in (0, 1]") and err.count("\n") == 1
+
     def test_query_reachable_requires_kind(self, polygons_path, capsys):
         assert main(["query", polygons_path, "reachable", "T(S)"]) == 2
 
@@ -338,8 +348,12 @@ class TestRejectedCommandLine:
             (["op", "{file}", "merge", "T(R)"], "error: argument exploiter: invalid choice: 'merge'"),
             (["frobnicate", "{file}"], "error: argument command: invalid choice: 'frobnicate'"),
             (["validate", "{file}", "--bad", "a\nb"], "error: unrecognized arguments: --bad a b"),
+            (["export-dot", "{file}", "--json"], "error: unrecognized arguments: --json"),
         ],
-        ids=["missing-positional", "index-not-int", "unknown-exploiter", "unknown-command", "unknown-flag"],
+        ids=[
+            "missing-positional", "index-not-int", "unknown-exploiter", "unknown-command",
+            "unknown-flag", "export-dot-json",
+        ],
     )
     def test_one_error_line(self, polygons_path, capsys, argv, start):
         assert main([a.format(file=polygons_path) for a in argv]) == 2

@@ -226,6 +226,11 @@ class TestNum:
         with pytest.raises(ExprError, match="not finite"):
             Method("f", ("x",), Arith("*", ParamRef("x"), Num(math.inf)))
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_rejected(self, value):
+        with pytest.raises(ExprError, match="a bool is not a number"):
+            Num(value)
+
 
 class TestPrint:
     def test_minimal_parentheses(self):
@@ -453,6 +458,23 @@ class TestEvaluate:
     def test_degree_out_of_range(self):
         with pytest.raises(EvalError, match="out of range"):
             evaluate(parse("x and x"), EvalContext(arguments={"x": 3.0}))
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("x + 1", "expected a number"),
+            ("x * x", "expected a number"),
+            ("x and 1", "expected a number"),
+            ("not x", "expected a number"),
+            ("if x then 1 else 0", "expected a number"),
+            ("x == 1", "comparison needs two numbers or two texts"),
+            ("1 < x", "comparison needs two numbers or two texts"),
+        ],
+    )
+    def test_bool_argument_is_not_a_number(self, source, message):
+        for value in (True, False):
+            with pytest.raises(EvalError, match=message):
+                evaluate(parse(source), EvalContext(arguments={"x": value}))
 
     def test_scalar_value_of_list_property(self):
         with pytest.raises(EvalError, match="use .values"):

@@ -110,7 +110,7 @@ _BAD_TAILS = {
     "modify": [["--out"], ["--no-dedup=1"], ["extra"]],
     "infer": [["--threshold", "abc"], ["--threshold"], ["extra"]],
     "query": [["--direction", "up"], ["--kind"], ["extra"]],
-    "export-dot": [["--out"], ["--threshold", "1"], ["extra"]],
+    "export-dot": [["--out"], ["--threshold", "1"], ["extra"], ["--json"]],
 }
 
 

@@ -1,8 +1,10 @@
+import math
 import random
 
 import pytest
 
 from oodn import (
+    ModelError,
     Network,
     NetworkError,
     NodeRef,
@@ -112,6 +114,15 @@ class TestInference:
         n = with_inferred(polygons)
         assert len(n.relations) == 5
         assert len(with_inferred(n).relations) == 5
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, 7.0, math.nan])
+    def test_bad_threshold_rejected_on_every_network(self, polygons, threshold):
+        objectless = empty_network()
+        for c in polygons.classes:
+            objectless = add_class(objectless, c)
+        for n in (empty_network(), objectless, polygons):
+            with pytest.raises(ModelError, match=r"threshold must lie in \(0, 1\]"):
+                with_inferred(n, threshold)
 
     def test_random_lattice_against_subset_oracle(self):
         """Classes built as subsets of a fixed member pool: subsumption
