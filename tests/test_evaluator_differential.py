@@ -154,7 +154,10 @@ def test_every_error_template_is_reached():
     assert reached == set(_TEMPLATES)
 
 
-@pytest.mark.parametrize("tree", [object(), "1", Arith("+", Num(1.0), 2.0)], ids=repr)
+# A bare object's repr holds its address; a fixed id keeps the case's name the same on every run.
+@pytest.mark.parametrize(
+    "tree", [pytest.param(object(), id="object()"), "1", Arith("+", Num(1.0), 2.0)], ids=repr
+)
 def test_non_node_is_a_type_error(tree):
     for evaluate_fn in (evaluate, reference_evaluator.evaluate):
         with pytest.raises(TypeError, match="^not an expression node: "):
