@@ -68,23 +68,29 @@ REF_ATTRS = ("value", "units", "values", "count")
 AGGREGATES = ("sum", "min", "max", "count", "all_equal")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Num:
     value: float
 
     def __post_init__(self):
         if isinstance(self.value, bool):
             raise ExprError(f"a bool is not a number: {self.value}")
-        if not math.isfinite(self.value):
+        if not isinstance(self.value, (int, float)):
+            raise ExprError(f"expected a number, got {self.value!r}")
+        try:
+            finite = math.isfinite(self.value)
+        except OverflowError:  # an int beyond the range of a float
+            raise ExprError("number out of range") from None
+        if not finite:
             raise ExprError(f"number {self.value} is not finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Text:
     value: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PropRef:
     """Reference to a property of the evaluation subject (`self.<p>.<attr>`)."""
 
@@ -92,46 +98,46 @@ class PropRef:
     attr: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParamRef:
     """Reference to a method parameter by name."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arith:
     op: str
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Compare:
     op: str
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not:
     operand: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Connective:
     op: str  # "and" | "or"
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Aggregate:
     fn: str
     arg: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class If:
     condition: "Expr"
     then: "Expr"
@@ -280,12 +286,13 @@ _KEYWORDS = frozenset(
 
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>\s+)
-    | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+    \s*(?:
+      (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
     | (?P<string>"(?:[^"\\]|\\.)*")
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<op><=|>=|==|!=|[<>+\-*/().,])
-    | (?P<bad>.)
+    | (?P<bad>\S)
+    )
     """,
     re.VERBOSE,
 )
@@ -294,15 +301,18 @@ _TOKEN_RE = re.compile(
 def _tokenize(source: str) -> list[tuple[str, str, int]]:
     """(kind, text, offset) of each token, ending with an "eof" token.
 
-    A character that starts no token is a token of kind "bad", which the
-    parser reports.  `ws` takes every newline, so `bad` needs no DOTALL;
-    with it, a backslash before a newline would lex inside a string.
+    One match is one token with the whitespace before it, so the token's
+    text and offset are those of its group, `m.lastindex`.  A character
+    that starts no token is a token of kind "bad", which the parser
+    reports; `bad` takes no whitespace.  The search stops before the
+    trailing whitespace, from which every start would fail only after
+    scanning to the end, a cost quadratic in its length.  `str.rstrip`
+    and the pattern agree on which characters are whitespace.
     """
-    tokens = [
-        (m.lastgroup, m.group(), m.start())
-        for m in _TOKEN_RE.finditer(source)
-        if m.lastgroup != "ws"
-    ]
+    tokens = []
+    for m in _TOKEN_RE.finditer(source, 0, len(source.rstrip())):
+        i = m.lastindex
+        tokens.append((m.lastgroup, m[i], m.start(i)))
     tokens.append(("eof", "", len(source)))
     return tokens
 
@@ -643,7 +653,7 @@ def expr_equal(a: Expr, b: Expr) -> bool:
 # --- evaluation --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalContext:
     """Evaluation context: a subject exposing find_property(name) plus
     named argument values for parameter references."""

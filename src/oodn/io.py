@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import OodnError
@@ -74,11 +75,17 @@ def _get(obj: dict, key: str, type_, path: str, what: str, default=_expect):
     return _expect(obj[key], type_, f"{path}.{key}", what)
 
 
-def _parse_expr(text: str, path: str):
-    try:
-        return parse(text)
-    except ExprError as exc:
-        raise LoadError(f"bad expression: {exc}", path) from exc
+def _parse_expr(text: str, path: str, trees: dict):
+    """The tree of `text`, parsed once per load: `trees` maps each source
+    parsed so far in this `load_text` call to its tree.  Trees are frozen,
+    so members with the same source share one."""
+    tree = trees.get(text)
+    if tree is None:
+        try:
+            tree = trees[text] = parse(text)
+        except ExprError as exc:
+            raise LoadError(f"bad expression: {exc}", path) from exc
+    return tree
 
 
 def _wrap(path: str, fn, *args):
@@ -91,7 +98,7 @@ def _wrap(path: str, fn, *args):
 # --- loading -----------------------------------------------------------------
 
 
-def _load_property(doc, path: str):
+def _load_property(doc, path: str, trees: dict):
     _expect(doc, dict, path, "a property object")
     name = _get(doc, "name", str, path, "a string")
     kind = _get(doc, "kind", str, path, "a string")
@@ -110,6 +117,7 @@ def _load_property(doc, path: str):
             verification = _parse_expr(
                 _expect(verification, str, f"{path}.verification", "a string"),
                 f"{path}.verification",
+                trees,
             )
         degree = doc.get("degree")
         if degree is not None:
@@ -118,7 +126,7 @@ def _load_property(doc, path: str):
     raise LoadError(f"unknown property kind {kind!r}", f"{path}.kind")
 
 
-def _load_method(doc, path: str):
+def _load_method(doc, path: str, trees: dict):
     _expect(doc, dict, path, "a method object")
     name = _get(doc, "name", str, path, "a string")
     params = _get(doc, "parameters", list, path, "a list of strings", default=[])
@@ -126,38 +134,36 @@ def _load_method(doc, path: str):
         _expect(p, str, f"{path}.parameters[{i}]", "a string")
     body = doc.get("body")
     if body is not None:
-        body = _parse_expr(
-            _expect(body, str, f"{path}.body", "a string"), f"{path}.body"
-        )
+        body = _parse_expr(_expect(body, str, f"{path}.body", "a string"), f"{path}.body", trees)
     return _wrap(path, Method, name, tuple(params), body)
 
 
-def _load_members(doc, path: str):
+def _load_members(doc, path: str, trees: dict):
     props = _get(doc, "properties", list, path, "a list", default=[])
     methods = _get(doc, "methods", list, path, "a list", default=[])
     spec = _wrap(
         f"{path}.properties",
         Specification,
         tuple(
-            _load_property(p, f"{path}.properties[{i}]") for i, p in enumerate(props)
+            _load_property(p, f"{path}.properties[{i}]", trees) for i, p in enumerate(props)
         ),
     )
     sig = _wrap(
         f"{path}.methods",
         Signature,
-        tuple(_load_method(m, f"{path}.methods[{i}]") for i, m in enumerate(methods)),
+        tuple(_load_method(m, f"{path}.methods[{i}]", trees) for i, m in enumerate(methods)),
     )
     return spec, sig
 
 
-def _load_class(doc, path: str) -> ClassDef:
+def _load_class(doc, path: str, trees: dict) -> ClassDef:
     _expect(doc, dict, path, "a class object")
     name = _get(doc, "name", str, path, "a string")
     core_doc = doc.get("core")
     core = None
     if core_doc is not None:
         spec, sig = _load_members(
-            _expect(core_doc, dict, f"{path}.core", "an object"), f"{path}.core"
+            _expect(core_doc, dict, f"{path}.core", "an object"), f"{path}.core", trees
         )
         core = Core(spec, sig)
     projections = []
@@ -165,25 +171,25 @@ def _load_class(doc, path: str) -> ClassDef:
         pr_path = f"{path}.projections[{i}]"
         _expect(pr, dict, pr_path, "a projection object")
         label = _get(pr, "source", str, pr_path, "a string")
-        spec, sig = _load_members(pr, pr_path)
+        spec, sig = _load_members(pr, pr_path, trees)
         projections.append(_wrap(pr_path, Projection, label, spec, sig))
     return _wrap(path, ClassDef, name, core, tuple(projections))
 
 
-def _load_object(doc, path: str) -> ObjectInstance:
+def _load_object(doc, path: str, trees: dict) -> ObjectInstance:
     _expect(doc, dict, path, "an object")
     identifier = _get(doc, "identifier", str, path, "a string")
     clone_index = _get(doc, "cloneIndex", int, path, "an integer", default=0)
-    spec, sig = _load_members(doc, path)
+    spec, sig = _load_members(doc, path, trees)
     return _wrap(path, ObjectInstance, identifier, spec, sig, clone_index)
 
 
-def _load_modifier(doc, path: str) -> Modifier:
+def _load_modifier(doc, path: str, trees: dict) -> Modifier:
     _expect(doc, dict, path, "a modifier object")
     name = _get(doc, "name", str, path, "a string")
     target = _get(doc, "target", str, path, "a string")
     edits = _get(doc, "edits", list, path, "a list")
-    loaded = tuple(_load_edit(e, f"{path}.edits[{i}]") for i, e in enumerate(edits))
+    loaded = tuple(_load_edit(e, f"{path}.edits[{i}]", trees) for i, e in enumerate(edits))
     return _wrap(path, Modifier, name, target, loaded)
 
 
@@ -209,7 +215,8 @@ def _load_relation(doc, path: str) -> Relation:
 
 def load_text(text: str) -> Network:
     """Parse a network document; every expression is parsed and every
-    network invariant validated before the network is returned."""
+    network invariant validated before the network is returned.  Each
+    distinct expression source is parsed once, and its tree shared."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too many digits, too deep
@@ -219,16 +226,17 @@ def load_text(text: str) -> Network:
     if fmt != FORMAT:
         raise LoadError(f"unsupported format {fmt!r} (expected {FORMAT!r})", "$.format")
 
+    trees = {}  # expression source -> tree, for this call only
     classes = tuple(
-        _load_class(c, f"$.classes[{i}]")
+        _load_class(c, f"$.classes[{i}]", trees)
         for i, c in enumerate(_get(doc, "classes", list, "$", "a list", default=[]))
     )
     objects = tuple(
-        _load_object(o, f"$.objects[{i}]")
+        _load_object(o, f"$.objects[{i}]", trees)
         for i, o in enumerate(_get(doc, "objects", list, "$", "a list", default=[]))
     )
     modifiers = tuple(
-        _load_modifier(m, f"$.modifiers[{i}]")
+        _load_modifier(m, f"$.modifiers[{i}]", trees)
         for i, m in enumerate(_get(doc, "modifiers", list, "$", "a list", default=[]))
     )
     relations = tuple(
@@ -254,6 +262,19 @@ def load_file(path) -> Network:
 
 
 # --- saving ------------------------------------------------------------------
+#
+# Each `*_to_json` builds the JSON value of one part.  `texts` maps the
+# identity of each tree printed so far in one `save_text` call to its text:
+# the network being saved holds every tree until the call returns, so no
+# identity is reused while the map lives, and the map dies with the call.
+
+
+def _print_expr(e, texts: dict) -> str:
+    """`print_expr(e)`, printed once per save for each tree."""
+    text = texts.get(id(e))
+    if text is None:
+        text = texts[id(e)] = print_expr(e)
+    return text
 
 
 def _value_to_json(value):
@@ -262,7 +283,7 @@ def _value_to_json(value):
     return value
 
 
-def _property_to_json(p):
+def _property_to_json(p, texts: dict):
     if isinstance(p, QuantitativeProperty):
         return {
             "name": p.name,
@@ -273,67 +294,75 @@ def _property_to_json(p):
     return {
         "name": p.name,
         "kind": "qualitative",
-        "verification": print_expr(p.verification) if p.verification else None,
+        "verification": _print_expr(p.verification, texts) if p.verification else None,
         "degree": p.degree,
     }
 
 
-def _method_to_json(m: Method):
+def _method_to_json(m: Method, texts: dict):
     return {
         "name": m.name,
         "parameters": list(m.parameters),
-        "body": print_expr(m.body) if m.body else None,
+        "body": _print_expr(m.body, texts) if m.body else None,
     }
 
 
-def _members_to_json(spec, sig):
+def _members_to_json(spec, sig, texts: dict):
     return {
-        "properties": [_property_to_json(p) for p in spec],
-        "methods": [_method_to_json(m) for m in sig],
+        "properties": [_property_to_json(p, texts) for p in spec],
+        "methods": [_method_to_json(m, texts) for m in sig],
     }
 
 
-def _class_to_json(t: ClassDef):
+def _class_to_json(t: ClassDef, texts: dict):
     doc = {"name": t.name, "core": None, "projections": []}
     if t.core is not None:
-        doc["core"] = _members_to_json(t.core.specification, t.core.signature)
+        doc["core"] = _members_to_json(t.core.specification, t.core.signature, texts)
     for pr in t.projections:
         entry = {"source": pr.source_label}
-        entry.update(_members_to_json(pr.specification, pr.signature))
+        entry.update(_members_to_json(pr.specification, pr.signature, texts))
         doc["projections"].append(entry)
     return doc
 
 
-def _object_to_json(o: ObjectInstance):
+def _object_to_json(o: ObjectInstance, texts: dict):
     doc = {"identifier": o.identifier, "cloneIndex": o.clone_index}
-    doc.update(_members_to_json(o.specification, o.signature))
+    doc.update(_members_to_json(o.specification, o.signature, texts))
     return doc
 
 
 # --- edits -------------------------------------------------------------------
 #
-# A field codec is a (load, save) pair: load(edit doc, JSON key, edit path)
-# reads one field, save(field) writes it back.
+# A field codec is a (load, save) pair: load(edit doc, JSON key, edit path,
+# trees) reads one field, save(field, texts) writes it back.
 
 
-def _load_set_value(doc, key: str, path: str):
+def _load_set_value(doc, key: str, path: str, trees: dict):
     value = doc.get(key)
     if value is None:
         raise LoadError("expected a number or a list of numbers", f"{path}.{key}")
     return _wrap(f"{path}.{key}", coerce_value, value)
 
 
-_STRING = (lambda doc, key, path: _get(doc, key, str, path, "a string"), lambda s: s)
-_VALUE = (_load_set_value, _value_to_json)
+_STRING = (
+    lambda doc, key, path, trees: _get(doc, key, str, path, "a string"),
+    lambda s, texts: s,
+)
+_VALUE = (_load_set_value, lambda value, texts: _value_to_json(value))
 _EXPRESSION = (
-    lambda doc, key, path: _parse_expr(_get(doc, key, str, path, "a string"), f"{path}.{key}"),
-    print_expr,
+    lambda doc, key, path, trees: _parse_expr(
+        _get(doc, key, str, path, "a string"), f"{path}.{key}", trees
+    ),
+    _print_expr,
 )
 _PROPERTY = (
-    lambda doc, key, path: _load_property(doc.get(key), f"{path}.{key}"),
+    lambda doc, key, path, trees: _load_property(doc.get(key), f"{path}.{key}", trees),
     _property_to_json,
 )
-_METHOD = (lambda doc, key, path: _load_method(doc.get(key), f"{path}.{key}"), _method_to_json)
+_METHOD = (
+    lambda doc, key, path, trees: _load_method(doc.get(key), f"{path}.{key}", trees),
+    _method_to_json,
+)
 
 # JSON `edit` tag -> (edit class, (JSON key, field codec) per class field, in order).
 _EDITS = {
@@ -350,31 +379,31 @@ _EDITS = {
 _EDIT_TAGS = {cls: tag for tag, (cls, _) in _EDITS.items()}
 
 
-def _load_edit(doc, path: str):
+def _load_edit(doc, path: str, trees: dict):
     _expect(doc, dict, path, "an edit object")
     kind = _get(doc, "edit", str, path, "a string")
     if kind not in _EDITS:
         raise LoadError(f"unknown edit kind {kind!r}", f"{path}.edit")
     cls, fields = _EDITS[kind]
-    return cls(*(load(doc, key, path) for key, (load, _) in fields))
+    return cls(*(load(doc, key, path, trees) for key, (load, _) in fields))
 
 
-def _edit_to_json(edit):
+def _edit_to_json(edit, texts: dict):
     tag = _EDIT_TAGS.get(type(edit))
     if tag is None:
         raise TypeError(f"unknown edit {edit!r}")
     _, fields = _EDITS[tag]
     doc = {"edit": tag}
     for (key, (_, save)), f in zip(fields, dataclasses.fields(edit)):
-        doc[key] = save(getattr(edit, f.name))
+        doc[key] = save(getattr(edit, f.name), texts)
     return doc
 
 
-def _modifier_to_json(m: Modifier):
+def _modifier_to_json(m: Modifier, texts: dict):
     return {
         "name": m.name,
         "target": m.target_kind,
-        "edits": [_edit_to_json(e) for e in m.edits],
+        "edits": [_edit_to_json(e, texts) for e in m.edits],
     }
 
 
@@ -394,27 +423,89 @@ def _relation_to_json(r: Relation):
     }
 
 
+# --- writing -----------------------------------------------------------------
+
+
+def _write(value, indent: str, write) -> None:
+    """Write the text of a JSON value in pieces with `write`, byte for
+    byte as `json.dumps(value, indent=2, sort_keys=True)` writes it.
+
+    `indent` is a newline and the indentation of the line on which `value`
+    starts.  A saved document holds only dicts with string keys, lists,
+    strings, ints, floats (finite: the model admits no other), bools and
+    None, and the writer refuses every other type.  Written directly, they
+    skip the checks and dispatch of the general `json` encoder, which with
+    `indent` is pure Python."""
+    t = type(value)
+    if t is str:
+        write(encode_basestring_ascii(value))
+    elif t is dict:
+        if not value:
+            write("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            write(sep + encode_basestring_ascii(key) + ": ")
+            _write(value[key], inner, write)
+            sep = "," + inner
+        write(indent + "}")
+    elif t is list:
+        if not value:
+            write("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            write(sep)
+            _write(item, inner, write)
+            sep = "," + inner
+        write(indent + "]")
+    elif t is float:
+        write(float.__repr__(value))
+    elif t is int:
+        write(int.__repr__(value))
+    elif value is None:
+        write("null")
+    elif value is True:
+        write("true")
+    elif value is False:
+        write("false")
+    else:
+        raise TypeError(f"not a JSON value of a saved document: {value!r}")
+
+
+def _dumps(value) -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)`, for the values
+    `_write` takes."""
+    pieces = []
+    _write(value, "\n", pieces.append)
+    return "".join(pieces)
+
+
 def save_text(n: Network) -> str:
     """Deterministic serialization: collections sorted, stable key order;
-    load_text(save_text(n)) reproduces n member-for-member."""
+    load_text(save_text(n)) reproduces n member-for-member.  Each tree is
+    printed once, however many members share it."""
+    texts = {}  # id(tree) -> printed text, for this call only
     doc = {
         "format": FORMAT,
         "classes": [
-            _class_to_json(t) for t in sorted(n.classes, key=lambda t: t.name)
+            _class_to_json(t, texts) for t in sorted(n.classes, key=lambda t: t.name)
         ],
         "objects": [
-            _object_to_json(o)
+            _object_to_json(o, texts)
             for o in sorted(n.objects, key=lambda o: (o.identifier, o.clone_index))
         ],
         "modifiers": [
-            _modifier_to_json(m) for m in sorted(n.modifiers, key=lambda m: m.name)
+            _modifier_to_json(m, texts) for m in sorted(n.modifiers, key=lambda m: m.name)
         ],
         "relations": [
             _relation_to_json(r) for r in sorted(n.relations, key=Relation.sort_key)
         ],
         "exploiters": sorted(n.exploiters),
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _dumps(doc) + "\n"
 
 
 def save_file(n: Network, path) -> None:

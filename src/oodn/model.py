@@ -79,7 +79,7 @@ def _cache_field():
     return field(default=None, init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuantitativeProperty:
     """Named (value, units) pair; value may be a scalar, an ordered list,
     or absent at class level."""
@@ -104,7 +104,7 @@ class QuantitativeProperty:
         return self._key
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QualitativeProperty:
     """Named verification predicate mapping the subject into [0, 1]; an
     instance may instead (or additionally) carry an evaluated degree."""
@@ -144,7 +144,7 @@ class QualitativeProperty:
 Property = Union[QuantitativeProperty, QualitativeProperty]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Specification:
     """Ordered property list with pairwise-distinct names."""
 
@@ -176,7 +176,7 @@ class Specification:
         return self._by_name.get(name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Method:
     """Named operation; the body may be left abstract at class level."""
 
@@ -212,7 +212,7 @@ class Method:
         return self._key
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Signature:
     """Ordered method list with pairwise-distinct names."""
 
@@ -255,7 +255,7 @@ def _member_keys(part) -> frozenset:
     return keys
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectInstance:
     """Concrete object: identifier, clone index (0 = original),
     specification with concrete quantitative values, and signature."""
@@ -290,7 +290,7 @@ class ObjectInstance:
     member_keys = property(_member_keys)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Core:
     """Members shared by all constituents of a class."""
 
@@ -304,7 +304,7 @@ class Core:
     member_keys = property(_member_keys)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Projection:
     """Members typical of exactly one constituent; labeled by its source."""
 
@@ -324,7 +324,7 @@ class Projection:
     member_keys = property(_member_keys)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassDef:
     """Class of objects.  Core-only classes are homogeneous; classes with
     projections (with or without a core) are inhomogeneous."""

@@ -38,7 +38,7 @@ class ModifierError(OodnError):
 # --- primitive edits ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetValue:
     property_name: str
     value: float | tuple
@@ -47,45 +47,45 @@ class SetValue:
         object.__setattr__(self, "value", coerce_value(self.value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetUnits:
     property_name: str
     units: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetExpression:
     property_name: str
     expression: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddProperty:
     prop: Property
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RemoveProperty:
     property_name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReplaceProperty:
     property_name: str
     replacement: Property
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddMethod:
     method: Method
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RemoveMethod:
     method_name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReplaceMethod:
     method_name: str
     replacement: Method
@@ -107,7 +107,7 @@ OBJECT = "object"
 CLASS = "class"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Modifier:
     name: str
     target_kind: str  # "object" | "class"

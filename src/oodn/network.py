@@ -56,7 +56,7 @@ _SUBSUMPTION_KINDS = frozenset({"is-a", "a-kind-of"})
 PROVENANCES = ("declared", "inferred", "recorded")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeRef:
     kind: str  # "object" | "class"
     name: str
@@ -88,7 +88,7 @@ def class_ref(t: ClassDef) -> NodeRef:
     return NodeRef(CLASS, t.name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Relation:
     source: NodeRef
     target: NodeRef
@@ -109,7 +109,7 @@ class Relation:
         return (self.kind, self.source.sort_key(), self.target.sort_key(), self.provenance)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Network:
     objects: tuple = ()
     classes: tuple = ()

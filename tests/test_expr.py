@@ -231,6 +231,19 @@ class TestNum:
         with pytest.raises(ExprError, match="a bool is not a number"):
             Num(value)
 
+    @pytest.mark.parametrize("value", ["x", None, [1], "1"], ids=repr)
+    def test_non_number_rejected(self, value):
+        with pytest.raises(ExprError, match="expected a number, got"):
+            Num(value)
+
+    @pytest.mark.parametrize("value", [10**400, -(10**400), 10**5000], ids=["1e400", "-1e400", "1e5000"])
+    def test_int_beyond_float_range_rejected(self, value):
+        with pytest.raises(ExprError, match="number out of range"):
+            Num(value)
+
+    def test_int_in_range_accepted(self):
+        assert Num(3).value == 3
+
 
 class TestPrint:
     def test_minimal_parentheses(self):

@@ -22,7 +22,7 @@ from oodn import io as oodn_io
 from oodn.model import class_state_equal, object_state_equal
 from oodn.modifiers import ModificationFunction
 
-from .helpers import check_dot, obj, qprop
+from .helpers import check_dot, cls, obj, qprop, qual
 from .strategies import core_only_classes
 
 
@@ -413,3 +413,58 @@ class TestEditCodec:
         assert set(classes) == set(typing.get_args(ModificationFunction))
         for cls, fields in oodn_io._EDITS.values():
             assert len(fields) == len(dataclasses.fields(cls))
+
+
+def _shared_source_doc(source: str) -> str:
+    """Class `t` and object `o`, each with a property `q` verified by
+    `source`, and a modifier whose setExpression edit sets `source`."""
+    q = {"name": "q", "kind": "qualitative", "verification": source, "degree": None}
+    return doc(
+        classes=[{"name": "t", "core": {"properties": [q], "methods": []}}],
+        objects=[{"identifier": "o", "properties": [dict(q, degree=1)], "methods": []}],
+        modifiers=[
+            {
+                "name": "m",
+                "target": "class",
+                "edits": [{"edit": "setExpression", "property": "q", "expression": source}],
+            }
+        ],
+    )
+
+
+class TestOnePassPerDocument:
+    """A load parses each distinct expression source once; a save prints
+    each tree once.  Neither keeps anything after the call."""
+
+    SOURCE = "self.p.value > 2"
+
+    def test_one_source_loads_as_one_tree(self):
+        n = load_text(_shared_source_doc(self.SOURCE))
+        tree = n.classes[0].core.specification.members[0].verification
+        assert n.objects[0].specification.members[0].verification is tree
+        assert n.modifiers[0].edits[0].expression is tree
+
+    def test_bad_source_reports_its_first_use(self):
+        with pytest.raises(LoadError) as exc:
+            load_text(_shared_source_doc("1 +"))
+        assert exc.value.path == "$.classes[0].core.properties[0].verification"
+
+    def test_loads_share_no_tree(self):
+        text = _shared_source_doc(self.SOURCE)
+        first, second = load_text(text), load_text(text)
+        a = first.classes[0].core.specification.members[0].verification
+        b = second.classes[0].core.specification.members[0].verification
+        assert a == b and a is not b
+
+    def test_equal_distinct_trees_print_alike(self):
+        a, b = qual("q", self.SOURCE), qual("q", self.SOURCE, 1.0)
+        assert a.verification == b.verification and a.verification is not b.verification
+        saved = json.loads(save_text(Network(objects=(obj("o", b),), classes=(cls("t", a),))))
+        assert saved["classes"][0]["core"]["properties"][0]["verification"] == self.SOURCE
+        assert saved["objects"][0]["properties"][0]["verification"] == self.SOURCE
+
+    def test_distinct_trees_print_apart(self):
+        n = Network(classes=(cls("t", qual("q", "x > 1")), cls("u", qual("q", "x > 2"))))
+        saved = json.loads(save_text(n))
+        texts = [c["core"]["properties"][0]["verification"] for c in saved["classes"]]
+        assert texts == ["x > 1", "x > 2"]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -102,6 +103,18 @@ def test_seeded_soups_agree():
         kinds.add(_outcome(parse, source)[0])
     # The soups reach both trees and syntax errors.
     assert {"tree"} < kinds
+
+
+# Whitespace at either end, or alone: a lexer that folds whitespace into
+# each token must neither drop it nor turn it into a token of its own.
+_EDGE_SPACING = [
+    "", "   ", "x ", " x", "x\n", "1 +\t2 \x0b", "x $ ", '"a" ', "x" + " " * 10_000,
+]
+
+
+@pytest.mark.parametrize("source", _EDGE_SPACING, ids=lambda s: repr(s[:12]))
+def test_edge_spacing_agrees(source):
+    _assert_agree(source)
 
 
 @settings(max_examples=300, deadline=None)
