@@ -196,7 +196,14 @@ def walk(e: Expr) -> Iterator[Expr]:
 
 
 def param_refs(e: Expr) -> set[str]:
-    return {n.name for n in walk(e) if isinstance(n, ParamRef)}
+    names, stack = set(), [e]  # the same set as `walk` gives, in any order
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ParamRef):
+            names.add(node.name)
+        elif not isinstance(node, (Num, Text, PropRef)):
+            stack.extend(children(node))
+    return names
 
 
 # --- sorts -------------------------------------------------------------------
@@ -218,54 +225,63 @@ def infer_sort(e: Expr) -> Sort:
 
     A numeric literal inside [0, 1] counts as a degree.  References have
     sort NUMBER and are accepted where a degree is expected; evaluation
-    enforces the [0, 1] range dynamically.
-    """
-    if isinstance(e, Num):
-        return Sort.DEGREE if 0.0 <= e.value <= 1.0 else Sort.NUMBER
-    if isinstance(e, Text):
-        return Sort.TEXT
-    if isinstance(e, PropRef):
-        if e.attr == "units":
-            return Sort.TEXT
-        if e.attr == "values":
-            return Sort.NUMBER_LIST
-        return Sort.NUMBER  # value, count
-    if isinstance(e, ParamRef):
-        return Sort.NUMBER
-    if isinstance(e, Arith):
-        for side in (e.left, e.right):
-            if not _numeric(infer_sort(side)):
-                raise SortError(f"arithmetic '{e.op}' needs numeric operands", e)
-        return Sort.NUMBER
-    if isinstance(e, Compare):
-        ls, rs = infer_sort(e.left), infer_sort(e.right)
-        if ls is Sort.TEXT and rs is Sort.TEXT:
-            if e.op not in ("==", "!="):
-                raise SortError(f"ordering '{e.op}' is not defined for text", e)
-            return Sort.DEGREE
-        if _numeric(ls) and _numeric(rs):
-            return Sort.DEGREE
+    enforces the [0, 1] range dynamically."""
+    try:
+        rule = _SORT_RULES[type(e)]
+    except KeyError:
+        raise TypeError(f"not an expression node: {e!r}") from None
+    return rule(e)
+
+
+def _sort_arith(e: Arith) -> Sort:
+    if not (_numeric(infer_sort(e.left)) and _numeric(infer_sort(e.right))):
+        raise SortError(f"arithmetic '{e.op}' needs numeric operands", e)
+    return Sort.NUMBER
+
+
+def _sort_compare(e: Compare) -> Sort:
+    ls, rs = infer_sort(e.left), infer_sort(e.right)
+    if ls is Sort.TEXT and rs is Sort.TEXT:
+        if e.op not in ("==", "!="):
+            raise SortError(f"ordering '{e.op}' is not defined for text", e)
+    elif not (_numeric(ls) and _numeric(rs)):
         raise SortError(f"comparison '{e.op}' needs two numbers or two texts", e)
-    if isinstance(e, Not):
-        _check_degree_operand(e.operand, e)
-        return Sort.DEGREE
-    if isinstance(e, Connective):
-        _check_degree_operand(e.left, e)
-        _check_degree_operand(e.right, e)
-        return Sort.DEGREE
-    if isinstance(e, Aggregate):
-        if infer_sort(e.arg) is not Sort.NUMBER_LIST:
-            raise SortError(f"{e.fn} expects a list of numbers", e)
-        return Sort.DEGREE if e.fn == "all_equal" else Sort.NUMBER
-    if isinstance(e, If):
-        _check_degree_operand(e.condition, e)
-        ts, os_ = infer_sort(e.then), infer_sort(e.orelse)
-        if ts == os_:
-            return ts
-        if _numeric(ts) and _numeric(os_):
-            return Sort.NUMBER
+    return Sort.DEGREE
+
+
+def _sort_degrees(e: Not | Connective) -> Sort:
+    for operand in children(e):
+        _check_degree_operand(operand, e)
+    return Sort.DEGREE
+
+
+def _sort_aggregate(e: Aggregate) -> Sort:
+    if infer_sort(e.arg) is not Sort.NUMBER_LIST:
+        raise SortError(f"{e.fn} expects a list of numbers", e)
+    return Sort.DEGREE if e.fn == "all_equal" else Sort.NUMBER
+
+
+def _sort_if(e: If) -> Sort:
+    _check_degree_operand(e.condition, e)
+    ts, os_ = infer_sort(e.then), infer_sort(e.orelse)
+    if ts != os_ and not (_numeric(ts) and _numeric(os_)):
         raise SortError("if branches have incompatible sorts", e)
-    raise TypeError(f"not an expression node: {e!r}")
+    return ts if ts == os_ else Sort.NUMBER
+
+
+_REF_SORTS = {"units": Sort.TEXT, "values": Sort.NUMBER_LIST}
+_SORT_RULES = {
+    Num: lambda e: Sort.DEGREE if 0.0 <= e.value <= 1.0 else Sort.NUMBER,
+    Text: lambda e: Sort.TEXT,
+    PropRef: lambda e: _REF_SORTS.get(e.attr, Sort.NUMBER),
+    ParamRef: lambda e: Sort.NUMBER,
+    Arith: _sort_arith,
+    Compare: _sort_compare,
+    Not: _sort_degrees,
+    Connective: _sort_degrees,
+    Aggregate: _sort_aggregate,
+    If: _sort_if,
+}
 
 
 def _check_degree_operand(operand: Expr, parent: Expr) -> None:

@@ -94,16 +94,15 @@ class Relation:
     target: NodeRef
     kind: str
     provenance: str = "declared"
+    # (source, target, kind), stored by __post_init__.
+    triple: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.kind:
             raise NetworkError("relation kind must be nonempty")
         if self.provenance not in PROVENANCES:
             raise NetworkError(f"unknown provenance {self.provenance!r}")
-
-    @property
-    def triple(self):
-        return (self.source, self.target, self.kind)
+        object.__setattr__(self, "triple", (self.source, self.target, self.kind))
 
     def sort_key(self):
         return (self.kind, self.source.sort_key(), self.target.sort_key(), self.provenance)
@@ -251,6 +250,11 @@ def infer_relations(n: Network, threshold: float = 1.0) -> tuple:
     pairs included, plus instance-of edges to each object's most
     specific satisfied classes.
 
+    All relations of one call share one `NodeRef` per node.  Bit j of
+    `below[i]` is set when class i strictly subsumes class j, so class i
+    in an object's `mask` of satisfied classes is most specific exactly
+    when `below[i] & mask == 0` (Ait-Kaci et al., TOPLAS 1989).
+
     Equal class members share one slot, scored at most once per object,
     so the result equals `satisfies(o, t, threshold) >= threshold` per
     pair without re-evaluating a member that several classes list.  Slots
@@ -258,16 +262,15 @@ def infer_relations(n: Network, threshold: float = 1.0) -> tuple:
     bucket, since key-equal members may differ in value.  A proper subset
     is smaller, so only pairs of different sizes reach `subsumes`."""
     homogeneous = [t for t in n.classes if t.is_homogeneous]
+    refs = [class_ref(t) for t in homogeneous]
     sizes = [len(t.core.member_keys) for t in homogeneous]
     edges = []
-    subsuming = set()
+    below = [0] * len(homogeneous)
     for i, general in enumerate(homogeneous):
         for j, specific in enumerate(homogeneous):
             if sizes[i] < sizes[j] and subsumes(general, specific):
-                subsuming.add((i, j))
-                edges.append(
-                    Relation(class_ref(specific), class_ref(general), "a-kind-of", "inferred")
-                )
+                below[i] |= 1 << j
+                edges.append(Relation(refs[j], refs[i], "a-kind-of", "inferred"))
     if n.objects and homogeneous:
         check_threshold(threshold)
     members, buckets, rows = [], {}, []
@@ -287,7 +290,7 @@ def infer_relations(n: Network, threshold: float = 1.0) -> tuple:
     for o in n.objects:
         ctx = EvalContext(subject=o)
         scores = [None] * len(members)
-        satisfied = []
+        satisfied, mask = [], 0
         for i, row in enumerate(rows):
             score = 1.0
             for s in row:
@@ -300,11 +303,12 @@ def infer_relations(n: Network, threshold: float = 1.0) -> tuple:
                         break
             if score >= threshold:
                 satisfied.append(i)
-        for i in satisfied:
-            if not any((i, j) in subsuming for j in satisfied):
-                edges.append(
-                    Relation(object_ref(o), class_ref(homogeneous[i]), "instance-of", "inferred")
-                )
+                mask |= 1 << i
+        if satisfied:
+            ref = object_ref(o)
+            for i in satisfied:
+                if not below[i] & mask:
+                    edges.append(Relation(ref, refs[i], "instance-of", "inferred"))
     return tuple(sorted(edges, key=Relation.sort_key))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -86,6 +87,54 @@ class TestConstruction:
         n2 = add_class(n, cls("t", qprop("p")))
         assert n.classes == ()
         assert len(n2.classes) == 1
+
+
+class TestRelationTriple:
+    A, B = NodeRef("class", "a"), NodeRef("class", "b")
+
+    def test_triple_is_source_target_kind(self):
+        r = Relation(self.B, self.A, "a-kind-of", "inferred")
+        assert r.triple == (self.B, self.A, "a-kind-of")
+        assert r.triple is r.triple
+
+    def test_triple_stays_out_of_eq_hash_and_repr(self):
+        r = Relation(self.B, self.A, "a-kind-of")
+        twin = Relation(self.B, self.A, "a-kind-of")
+        object.__setattr__(twin, "triple", None)
+        assert r == twin and hash(r) == hash(twin)
+        assert r != Relation(self.B, self.A, "a-kind-of", "inferred")
+        assert repr(r) == (
+            "Relation(source=NodeRef(kind='class', name='b', clone_index=0), "
+            "target=NodeRef(kind='class', name='a', clone_index=0), "
+            "kind='a-kind-of', provenance='declared')"
+        )
+        fields = [f.name for f in dataclasses.fields(r) if f.init]
+        assert fields == ["source", "target", "kind", "provenance"]
+
+    def test_replace_recomputes_the_triple(self):
+        r = Relation(self.B, self.A, "a-kind-of")
+        assert dataclasses.replace(r, kind="is-a").triple == (self.B, self.A, "is-a")
+        assert dataclasses.replace(r, source=self.A, target=self.B).triple == (
+            self.A, self.B, "a-kind-of"
+        )
+        with pytest.raises(ValueError):
+            dataclasses.replace(r, triple=(self.A, self.A, "x"))
+        with pytest.raises(TypeError):
+            Relation(self.B, self.A, "a-kind-of", "declared", (self.A, self.A, "x"))
+
+    def test_duplicate_relation_messages(self):
+        classes = (cls("a", qprop("p")), cls("b", qprop("p"), qprop("q", "kg")))
+        r = Relation(self.B, self.A, "a-kind-of")
+        twin = dataclasses.replace(r, provenance="inferred")
+        with pytest.raises(NetworkError) as exc:
+            Network(classes=classes, relations=(r, twin))
+        assert str(exc.value) == "duplicate relation b -a-kind-of-> a"
+        n = Network(classes=classes, relations=(r,))
+        with pytest.raises(NetworkError) as exc:
+            declare_relation(n, twin)
+        assert str(exc.value) == "relation b -a-kind-of-> a already present"
+        # Another kind between the same nodes is another relation.
+        assert len(declare_relation(n, dataclasses.replace(r, kind="is-a")).relations) == 2
 
 
 class TestInference:
