@@ -174,11 +174,10 @@ def _cmd_op(args) -> int:
         n, args.exploiter, operands, clone_index=args.index, dedup=not args.no_dedup
     )
     if result_ref is None:
-        reason = result.reason if result is not None else "result does not exist"
         if args.json:
-            print(json.dumps({"exists": False, "reason": reason}, sort_keys=True))
+            print(json.dumps({"exists": False, "reason": result.reason}, sort_keys=True))
         else:
-            print(f"result does not exist: {reason}")
+            print(f"result does not exist: {result.reason}")
         return EXIT_ABSENT
     _maybe_out(args, n2)
     node = n2.resolve(result_ref)

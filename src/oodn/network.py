@@ -1,10 +1,11 @@
 """The concept network: objects, classes, typed relations, enabled
 exploiters, and modifiers, as one immutable value.
 
-Every operation returns a new network snapshot; prior snapshots stay
-valid.  Structural deduplication is on by default: applying a modifier
-or exploiter whose result matches an existing node (state equality)
-links to that node instead of adding a twin.
+A growth step returns one new snapshot, or the same network when it
+adds nothing; prior snapshots stay valid.  Structural deduplication is
+on by default: applying a modifier or exploiter whose result matches an
+existing node (state equality) links to that node instead of adding a
+twin.
 """
 
 from __future__ import annotations
@@ -203,16 +204,34 @@ def empty_network(exploiters=EXPLOITER_NAMES) -> Network:
 # --- growth ------------------------------------------------------------------
 
 
+def _grow(n: Network, *, objects=(), classes=(), relations=()) -> Network:
+    """`n` plus `objects`, `classes` and each relation whose triple `n`
+    lacks (the first of any repeats), as one snapshot; `n` itself when
+    nothing is new."""
+    fresh = {}
+    for r in relations:
+        if r.triple not in n._triples:
+            fresh.setdefault(r.triple, r)
+    if not (objects or classes or fresh):
+        return n
+    return dataclasses.replace(
+        n,
+        objects=n.objects + objects,
+        classes=n.classes + classes,
+        relations=n.relations + tuple(fresh.values()),
+    )
+
+
 def add_object(n: Network, o: ObjectInstance) -> Network:
     if n.find_object(o.identifier, o.clone_index) is not None:
         raise NetworkError(f"object {o.node_name!r} already present")
-    return dataclasses.replace(n, objects=n.objects + (o,))
+    return _grow(n, objects=(o,))
 
 
 def add_class(n: Network, t: ClassDef) -> Network:
     if n.find_class(t.name) is not None:
         raise NetworkError(f"class {t.name!r} already present")
-    return dataclasses.replace(n, classes=n.classes + (t,))
+    return _grow(n, classes=(t,))
 
 
 def add_modifier(n: Network, m: Modifier) -> Network:
@@ -228,17 +247,7 @@ def declare_relation(n: Network, r: Relation) -> Network:
         raise NetworkError(
             f"relation {r.source.display} -{r.kind}-> {r.target.display} already present"
         )
-    return dataclasses.replace(n, relations=n.relations + (r,))
-
-
-def _append_relations(n: Network, relations: Sequence[Relation]) -> Network:
-    fresh = {}
-    for r in relations:
-        if r.triple not in n._triples:
-            fresh.setdefault(r.triple, r)
-    if not fresh:
-        return n
-    return dataclasses.replace(n, relations=n.relations + tuple(fresh.values()))
+    return _grow(n, relations=(r,))
 
 
 # --- inference ---------------------------------------------------------------
@@ -317,29 +326,28 @@ def with_inferred(n: Network, threshold: float = 1.0) -> Network:
     tests `threshold` only where an object meets a class, this rejects a
     threshold outside (0, 1] on every network."""
     check_threshold(threshold)
-    return _append_relations(n, infer_relations(n, threshold))
+    return _grow(n, relations=infer_relations(n, threshold))
 
 
 # --- derived nodes -----------------------------------------------------------
 
 
-def _add_derived(n: Network, node, base: str, dedup: bool) -> tuple[Network, NodeRef]:
-    """Link to the first state-equal node of the same kind when `dedup` is
-    on; otherwise add `node` under `base`, or `base#k` for the least k >= 2
-    that no class or object displays as."""
+def _derive(n: Network, node, base: str, dedup: bool) -> tuple[tuple, NodeRef]:
+    """The nodes to add for a derived `node`, and its ref: none, and the
+    first state-equal node of the same kind, when `dedup` finds one;
+    otherwise `node` under `base`, or `base#k` for the least k >= 2 that
+    no class or object displays as."""
     is_class = isinstance(node, ClassDef)
     nodes, ref = (n.classes, class_ref) if is_class else (n.objects, object_ref)
     if dedup:
         same = class_state_equal if is_class else object_state_equal
         existing = next((x for x in nodes if same(x, node)), None)
         if existing is not None:
-            return n, ref(existing)
+            return (), ref(existing)
     name = base if base not in n._nodes else f"{base}#{free_index(base, 2, n._nodes)}"
-    if is_class:
-        node = dataclasses.replace(node, name=name)
-        return add_class(n, node), ref(node)
-    node = dataclasses.replace(node, identifier=name, clone_index=0)
-    return add_object(n, node), ref(node)
+    renamed = {"name": name} if is_class else {"identifier": name, "clone_index": 0}
+    node = dataclasses.replace(node, **renamed)
+    return (node,), ref(node)
 
 
 # --- modifier application ----------------------------------------------------
@@ -356,13 +364,13 @@ def apply_modifier(
         raise NetworkError(f"unknown modifier {modifier_name!r}")
     node = n.resolve(target)
 
-    apply = apply_to_class if target.kind == CLASS else apply_to_object
-    n, result_ref = _add_derived(
+    is_class = target.kind == CLASS
+    apply = apply_to_class if is_class else apply_to_object
+    new, result_ref = _derive(
         n, apply(modifier, node), f"{modifier_name}({target.display})", dedup
     )
-    n = _append_relations(
-        n, [Relation(target, result_ref, "modification-of", "recorded")]
-    )
+    edge = Relation(target, result_ref, "modification-of", "recorded")
+    n = _grow(n, **{"classes" if is_class else "objects": new}, relations=(edge,))
     return n, result_ref
 
 
@@ -380,16 +388,6 @@ def _operand_classes(n: Network, operands: Sequence[NodeRef]) -> list:
     return out
 
 
-def _record_result(
-    n: Network, operands: Sequence[NodeRef], result_ref: NodeRef
-) -> Network:
-    edges = []
-    for ref in operands:
-        edges.append(Relation(ref, result_ref, "operand-of", "recorded"))
-        edges.append(Relation(result_ref, ref, "result-of", "recorded"))
-    return _append_relations(n, edges)
-
-
 def apply_exploiter(
     n: Network,
     op: str,
@@ -397,14 +395,16 @@ def apply_exploiter(
     clone_index: int | None = None,
     dedup: bool = True,
 ) -> tuple[Network, NodeRef | None, OperationResult | None]:
-    """Run an enabled exploiter over resolved operands.  Present results
-    are added (with dedup) and linked via recorded operand-of/result-of
-    edges; absent results leave the network unchanged and return no node."""
+    """Run an enabled exploiter over resolved operands.  A present result
+    (with dedup), any clones, and recorded operand-of/result-of edges
+    join the network in one new snapshot; an absent result leaves the
+    network unchanged and returns no node."""
     if op not in EXPLOITER_NAMES:
         raise NetworkError(f"unknown exploiter {op!r}")
     if op not in n.exploiters:
         raise NetworkError(f"exploiter {op!r} is not enabled in this network")
 
+    clones = ()
     if op == "clone":
         if len(operands) != 1 or operands[0].kind != OBJECT:
             raise NetworkError("clone takes exactly one object operand")
@@ -416,17 +416,11 @@ def apply_exploiter(
             raise NetworkError(
                 f"clone index {clone_index} already used for {original.identifier!r}"
             )
-        n = add_object(n, clone)
-        result_ref = object_ref(clone)
-        n = _record_result(n, operands, result_ref)
-        return n, result_ref, None
-
-    if op == "union" and operands and all(ref.kind == OBJECT for ref in operands):
+        clones, new, result_ref, result = (clone,), (), object_ref(clone), None
+    elif op == "union" and operands and all(ref.kind == OBJECT for ref in operands):
         objects = [n.resolve(ref) for ref in operands]
         result_objects, result = object_union(objects, in_use=n._nodes)
         clones = tuple(o for o, x in zip(result_objects, objects) if o is not x)
-        if clones:
-            n = dataclasses.replace(n, objects=n.objects + clones)
         # The result's edges name its objects, so each clone is linked too.
         operands = [object_ref(o) for o in result_objects]
     elif op == "union":
@@ -445,11 +439,16 @@ def apply_exploiter(
         }[op]
         result = fn(classes[0], classes[1])
 
-    if not result.exists:
-        return n, None, result
-    n, result_ref = _add_derived(n, result.class_def, result.class_def.name, dedup)
-    n = _record_result(n, operands, result_ref)
-    return n, result_ref, result
+    if result is not None:
+        if not result.exists:
+            return n, None, result
+        # `n` lacks the clones, but each clone's name lies inside the derived one.
+        new, result_ref = _derive(n, result.class_def, result.class_def.name, dedup)
+    edges = []
+    for ref in operands:
+        edges.append(Relation(ref, result_ref, "operand-of", "recorded"))
+        edges.append(Relation(result_ref, ref, "result-of", "recorded"))
+    return _grow(n, objects=clones, classes=new, relations=edges), result_ref, result
 
 
 # --- queries -----------------------------------------------------------------

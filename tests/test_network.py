@@ -491,3 +491,75 @@ class TestQueries:
     def test_refs_helpers(self, polygons):
         assert class_ref(polygons.find_class("T(R)")) == NodeRef("class", "T(R)")
         assert object_ref(polygons.find_object("R_1")) == NodeRef("object", "R_1")
+
+
+class TestOneSnapshotPerStep:
+    """A growth step builds at most one snapshot, that is one validating
+    `Network.__post_init__` run, and none when it adds nothing."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """`built(fn, *args)`: fn's result and the snapshots it built."""
+        calls = []
+        original = Network.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            original(self)
+
+        monkeypatch.setattr(Network, "__post_init__", counted)
+
+        def built(fn, *args, **kwargs):
+            calls.clear()
+            return fn(*args, **kwargs), len(calls)
+
+        return built
+
+    def test_every_growth_step_builds_at_most_one(self, polygons, built):
+        r1, s1 = NodeRef("object", "R_1"), NodeRef("object", "S_1")
+        tr, ts, tp = (NodeRef("class", f"T({x})") for x in "RSP")
+        steps = [
+            (apply_exploiter, "union", [tr, ts, tp]),
+            (apply_exploiter, "intersection", [tr, ts]),
+            (apply_exploiter, "difference", [ts, tr]),
+            (apply_exploiter, "symmetric-difference", [tp, ts]),
+            (apply_exploiter, "union", [r1, s1]),
+            (apply_exploiter, "clone", [r1]),
+            (apply_modifier, "M1(T(R))", tr),
+            (apply_modifier, "M1(R_1)", r1),
+        ]
+        n = polygons
+        for dedup in (True, False, True):
+            for fn, *args in steps:
+                out, count = built(fn, n, *args, dedup=dedup)
+                assert count == (0 if out[0] is n else 1), (fn.__name__, args, dedup)
+                n = out[0]
+        grown, count = built(with_inferred, n)
+        assert count == 1 and len(grown.relations) > len(n.relations)
+
+    def test_absent_result_builds_none(self, built):
+        n = add_class(empty_network(), cls("a", qprop("p")))
+        n = add_class(n, cls("b", qprop("q", "kg")))
+        a, b = NodeRef("class", "a"), NodeRef("class", "b")
+        for op, operands in (("intersection", [a, b]), ("difference", [a, a])):
+            (grown, ref, result), count = built(apply_exploiter, n, op, operands)
+            assert not result.exists and ref is None
+            assert grown is n and count == 0
+
+    def test_dedup_hit_with_its_edges_builds_none(self, polygons, built):
+        tr, ts = NodeRef("class", "T(R)"), NodeRef("class", "T(S)")
+        (n, ref, _), count = built(apply_exploiter, polygons, "union", [tr, ts])
+        assert count == 1
+        (again, again_ref, _), count = built(apply_exploiter, n, "union", [tr, ts])
+        assert again is n and again_ref == ref and count == 0
+        (n, ref), count = built(apply_modifier, n, "M1(T(R))", tr)
+        assert count == 1
+        (again, again_ref), count = built(apply_modifier, n, "M1(T(R))", tr)
+        assert again is n and again_ref == ref and count == 0
+
+    def test_object_union_with_repeats_builds_one(self, polygons, built):
+        r1, s1 = NodeRef("object", "R_1"), NodeRef("object", "S_1")
+        (n, ref, _), count = built(apply_exploiter, polygons, "union", [r1, r1, s1, r1])
+        assert count == 1
+        assert [o.node_name for o in n.objects[len(polygons.objects):]] == ["R_1#1", "R_1#2"]
+        assert n.classes[-1].name == ref.name
