@@ -193,21 +193,26 @@ def _load_modifier(doc, path: str, trees: dict) -> Modifier:
     return _wrap(path, Modifier, name, target, loaded)
 
 
-def _load_node_ref(doc, path: str) -> NodeRef:
+def _load_node_ref(doc, path: str, refs: dict) -> NodeRef:
+    """The ref `doc` names, shared by every endpoint naming it in this load."""
     _expect(doc, dict, path, "a node reference")
     kind = _get(doc, "kind", str, path, "a string")
     name = _get(doc, "name", str, path, "a string")
     clone_index = _get(doc, "cloneIndex", int, path, "an integer", default=0)
-    return _wrap(path, NodeRef, kind, name, clone_index)
+    key = (kind, name, clone_index)
+    ref = refs.get(key)
+    if ref is None:
+        ref = refs[key] = _wrap(path, NodeRef, kind, name, clone_index)
+    return ref
 
 
-def _load_relation(doc, path: str) -> Relation:
+def _load_relation(doc, path: str, refs: dict) -> Relation:
     _expect(doc, dict, path, "a relation object")
     return _wrap(
         path,
         Relation,
-        _load_node_ref(doc.get("from"), f"{path}.from"),
-        _load_node_ref(doc.get("to"), f"{path}.to"),
+        _load_node_ref(doc.get("from"), f"{path}.from", refs),
+        _load_node_ref(doc.get("to"), f"{path}.to", refs),
         _get(doc, "relation", str, path, "a string"),
         _get(doc, "provenance", str, path, "a string", default="declared"),
     )
@@ -239,8 +244,9 @@ def load_text(text: str) -> Network:
         _load_modifier(m, f"$.modifiers[{i}]", trees)
         for i, m in enumerate(_get(doc, "modifiers", list, "$", "a list", default=[]))
     )
+    refs = {}  # (kind, name, clone index) -> ref, for this call only
     relations = tuple(
-        _load_relation(r, f"$.relations[{i}]")
+        _load_relation(r, f"$.relations[{i}]", refs)
         for i, r in enumerate(_get(doc, "relations", list, "$", "a list", default=[]))
     )
     exploiters = _get(doc, "exploiters", list, "$", "a list", default=None)

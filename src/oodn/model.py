@@ -267,10 +267,11 @@ class ObjectInstance:
     _keys: frozenset | None = _cache_field()
 
     def __post_init__(self):
-        if not self.identifier:
-            raise ModelError("object identifier must be nonempty")
-        if self.clone_index < 0:
-            raise ModelError("clone index must be nonnegative")
+        name, i = self.identifier, self.clone_index
+        if not isinstance(name, str) or not name:
+            raise ModelError(f"object identifier must be a nonempty string: {name!r}")
+        if not isinstance(i, int) or isinstance(i, bool) or i < 0:
+            raise ModelError(f"clone index must be an integer >= 0: {i!r}")
         for p in self.specification:
             if isinstance(p, QuantitativeProperty) and p.value is None:
                 raise ModelError(

@@ -59,17 +59,33 @@ PROVENANCES = ("declared", "inferred", "recorded")
 
 @dataclass(frozen=True, slots=True)
 class NodeRef:
+    """A class by name, or an object by identifier and clone index: a
+    nonempty `str` and an `int` >= 0 (0 for a class).  The hash is computed
+    once; a pickled or copied ref is rebuilt from its three fields."""
+
     kind: str  # "object" | "class"
     name: str
     clone_index: int = 0
+    # hash((kind, name, clone_index)), stored by __post_init__.
+    _hash: int = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (OBJECT, CLASS):
             raise NetworkError(f"node kind must be 'object' or 'class': {self.kind!r}")
-        if not self.name:
-            raise NetworkError("node name must be nonempty")
-        if self.kind == CLASS and self.clone_index:
+        if not isinstance(self.name, str) or not self.name:
+            raise NetworkError(f"node name must be a nonempty string: {self.name!r}")
+        i = self.clone_index
+        if not isinstance(i, int) or isinstance(i, bool) or i < 0:
+            raise NetworkError(f"clone index must be an integer >= 0: {i!r}")
+        if self.kind == CLASS and i:
             raise NetworkError("classes carry no clone index")
+        object.__setattr__(self, "_hash", hash((self.kind, self.name, i)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return NodeRef, (self.kind, self.name, self.clone_index)
 
     @property
     def display(self) -> str:
@@ -118,6 +134,8 @@ class Network:
     modifiers: tuple = ()
     # Display name -> class or object (one namespace for both), modifier
     # name -> modifier, and the relation triples, built by __post_init__.
+    # It tests relation endpoints against the nodes' (kind, name, clone
+    # index) keys; `_require` runs only for a missing key, so only to raise.
     _nodes: dict = field(default=None, init=False, repr=False, compare=False)
     _modifiers: dict = field(default=None, init=False, repr=False, compare=False)
     _triples: set = field(default=None, init=False, repr=False, compare=False)
@@ -149,6 +167,8 @@ class Network:
                 index[name] = x
         object.__setattr__(self, "_nodes", nodes)
         object.__setattr__(self, "_modifiers", modifiers)
+        keys = {(OBJECT, o.identifier, o.clone_index) for o in self.objects}
+        keys.update((CLASS, t.name, 0) for t in self.classes)
         triples = set()
         for r in self.relations:
             if r.triple in triples:
@@ -156,8 +176,11 @@ class Network:
                     f"duplicate relation {r.source.display} -{r.kind}-> {r.target.display}"
                 )
             triples.add(r.triple)
-            self._require(r.source)
-            self._require(r.target)
+            s, t = r.source, r.target
+            if (s.kind, s.name, s.clone_index) not in keys:
+                self._require(s)
+            if (t.kind, t.name, t.clone_index) not in keys:
+                self._require(t)
         object.__setattr__(self, "_triples", triples)
 
     # --- resolution ---------------------------------------------------------

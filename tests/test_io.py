@@ -148,6 +148,22 @@ class TestLoad:
         with pytest.raises(LoadError, match="does not resolve"):
             load_text(bad)
 
+    @pytest.mark.parametrize("end", ["from", "to"])
+    def test_negative_clone_index_in_a_relation(self, end):
+        p = {"name": "p", "kind": "quantitative", "units": "cm", "value": 1}
+        ends = {"from": {"kind": "object", "name": "o"}, "to": {"kind": "object", "name": "o"}}
+        ends[end] = {"kind": "object", "name": "o", "cloneIndex": -1}
+        bad = doc(
+            objects=[{"identifier": "o", "properties": [p], "methods": []}],
+            relations=[{**ends, "relation": "is-a"}],
+        )
+        with pytest.raises(LoadError) as exc:
+            load_text(bad)
+        assert exc.value.path == f"$.relations[0].{end}"
+        assert str(exc.value) == (
+            f"$.relations[0].{end}: clone index must be an integer >= 0: -1"
+        )
+
     def test_unknown_property_kind(self):
         bad = doc(
             classes=[

@@ -105,6 +105,26 @@ class TestValidation:
         assert obj("o", qprop("p", value=1)).node_name == "o"
         assert obj("o", qprop("p", value=1), clone_index=2).node_name == "o#2"
 
+    @pytest.mark.parametrize(
+        "identifier", ["", ["o"], None, 7, b"o"], ids=["empty", "list", "none", "int", "bytes"]
+    )
+    def test_identifier_must_be_a_nonempty_str(self, identifier):
+        with pytest.raises(ModelError) as exc:
+            ObjectInstance(identifier)
+        assert str(exc.value) == (
+            f"object identifier must be a nonempty string: {identifier!r}"
+        )
+
+    @pytest.mark.parametrize(
+        "index",
+        [True, False, 1.5, 2.0, -1, "2", None],
+        ids=["true", "false", "float", "whole-float", "negative", "str", "none"],
+    )
+    def test_clone_index_must_be_an_int_at_least_0(self, index):
+        with pytest.raises(ModelError) as exc:
+            ObjectInstance("o", clone_index=index)
+        assert str(exc.value) == f"clone index must be an integer >= 0: {index!r}"
+
 
 class TestEquivalence:
     def test_quantitative_by_units_only(self):

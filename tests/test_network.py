@@ -89,6 +89,35 @@ class TestConstruction:
         assert len(n2.classes) == 1
 
 
+class TestTypedNodeIdentity:
+    """A ref's name is a nonempty str and its clone index an int >= 0;
+    a bool is not an int."""
+
+    @pytest.mark.parametrize(
+        "name", ["", ["a"], None, 7, b"a"], ids=["empty", "list", "none", "int", "bytes"]
+    )
+    @pytest.mark.parametrize("kind", ["class", "object"])
+    def test_name_must_be_a_nonempty_str(self, kind, name):
+        with pytest.raises(NetworkError) as exc:
+            NodeRef(kind, name)
+        assert str(exc.value) == f"node name must be a nonempty string: {name!r}"
+
+    @pytest.mark.parametrize(
+        "index",
+        [True, False, 1.5, 2.0, -1, "2", None],
+        ids=["true", "false", "float", "whole-float", "negative", "str", "none"],
+    )
+    @pytest.mark.parametrize("kind", ["class", "object"])
+    def test_clone_index_must_be_an_int_at_least_0(self, kind, index):
+        with pytest.raises(NetworkError) as exc:
+            NodeRef(kind, "o", index)
+        assert str(exc.value) == f"clone index must be an integer >= 0: {index!r}"
+
+    def test_classes_carry_no_clone_index(self):
+        with pytest.raises(NetworkError, match="^classes carry no clone index$"):
+            NodeRef("class", "t", 1)
+
+
 class TestRelationTriple:
     A, B = NodeRef("class", "a"), NodeRef("class", "b")
 
