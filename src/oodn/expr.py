@@ -305,6 +305,7 @@ _TOKEN_RE = re.compile(
     \s*(?:
       (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
     | (?P<string>"(?:[^"\\]|\\.)*")
+    | (?P<ref>self\s*\.\s*(?P<prop>[A-Za-z_][A-Za-z0-9_]*)\s*\.\s*(?P<attr>[A-Za-z_][A-Za-z0-9_]*))
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<op><=|>=|==|!=|[<>+\-*/().,])
     | (?P<bad>\S)
@@ -312,23 +313,31 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+_REF = _TOKEN_RE.groupindex["ref"]
 
 
-def _tokenize(source: str) -> list[tuple[str, str, int]]:
+def _tokenize(source: str) -> list[tuple]:
     """(kind, text, offset) of each token, ending with an "eof" token.
 
     One match is one token with the whitespace before it, so the token's
-    text and offset are those of its group, `m.lastindex`.  A character
-    that starts no token is a token of kind "bad", which the parser
-    reports; `bad` takes no whitespace.  The search stops before the
-    trailing whitespace, from which every start would fail only after
-    scanning to the end, a cost quadratic in its length.  `str.rstrip`
-    and the pattern agree on which characters are whitespace.
+    text and offset are those of its group, `m.lastindex`.  A well-formed
+    property reference `self . IDENT . IDENT` is one token of kind "ref"
+    and text "self" at the offset of `self`, which also carries the
+    property name, the accessor and the accessor's offset; a malformed
+    one lexes as its separate tokens.  A character that starts no token
+    is a token of kind "bad", which the parser reports; `bad` takes no
+    whitespace.  The search stops before the trailing whitespace, from
+    which every start would fail only after scanning to the end, a cost
+    quadratic in its length.  `str.rstrip` and the pattern agree on which
+    characters are whitespace.
     """
     tokens = []
     for m in _TOKEN_RE.finditer(source, 0, len(source.rstrip())):
         i = m.lastindex
-        tokens.append((m.lastgroup, m[i], m.start(i)))
+        if i == _REF:  # the enclosing group closes last, so it is `lastindex`
+            tokens.append(("ref", "self", m.start(i), m["prop"], m["attr"], m.start("attr")))
+        else:
+            tokens.append((m.lastgroup, m[i], m.start(i)))
     tokens.append(("eof", "", len(source)))
     return tokens
 
@@ -368,13 +377,15 @@ class _Parser:
 
     `kind` and `text` are those of the current token.  Operator, keyword,
     number and string texts never coincide, so most checks test `text` alone.
+    `leaves` maps the key of each leaf made so far to its node.
     """
 
-    def __init__(self, source: str):
+    def __init__(self, source: str, leaves: dict):
         self.source = source
         self.tokens = _tokenize(source)
+        self.leaves = leaves
         self.pos = 0
-        self.kind, self.text, _ = self.tokens[0]
+        self.kind, self.text = self.tokens[0][:2]
         self.depth = 0
         self.operators = 0
 
@@ -382,7 +393,8 @@ class _Parser:
         """Consume the current token and return its text."""
         text = self.text
         self.pos += 1
-        self.kind, self.text, _ = self.tokens[self.pos]
+        token = self.tokens[self.pos]
+        self.kind, self.text = token[0], token[1]
         return text
 
     def error(self, message: str, offset: int | None = None) -> NoReturn:
@@ -392,9 +404,9 @@ class _Parser:
         the whole source were lexed before parsing.  No rule consumes a bad
         token, so every source holding one ends here.
         """
-        for kind, text, off in self.tokens:
-            if kind == "bad":
-                message, offset = f"unexpected character {text!r}", off
+        for token in self.tokens:
+            if token[0] == "bad":
+                message, offset = f"unexpected character {token[1]!r}", token[2]
                 break
         if offset is None:
             offset = self.tokens[self.pos][2]
@@ -481,14 +493,33 @@ class _Parser:
             return Arith("-", Num(0.0), operand)
         return self.primary()
 
+    def leaf(self, key: tuple, make, *args) -> Expr:
+        """Consume the current token and return its leaf, `make(*args)`
+        when `leaves` has no node under `key` yet."""
+        node = self.leaves.get(key)
+        if node is None:
+            node = self.leaves[key] = make(*args)
+        self.advance()
+        return node
+
+    def number(self, text: str) -> Num:
+        value = float(text)
+        if not math.isfinite(value):
+            self.error("number out of range")
+        return Num(value)
+
     def primary(self) -> Expr:
         kind, text = self.kind, self.text
+        if kind == "ref":
+            _, _, _, prop, attr, offset = self.tokens[self.pos]
+            if attr not in REF_ATTRS:
+                self.error(
+                    f"unknown property accessor {attr!r} (expected one of {', '.join(REF_ATTRS)})",
+                    offset,
+                )
+            return self.leaf((PropRef, prop, attr), PropRef, prop, attr)
         if kind == "number":
-            value = float(text)
-            if not math.isfinite(value):
-                self.error("number out of range")
-            self.advance()
-            return Num(value)
+            return self.leaf((Num, text), self.number, text)
         if kind == "string":
             self.advance()
             return Text(_unescape(text))
@@ -506,23 +537,18 @@ class _Parser:
                 self.fail("an expression")
             if self.tokens[self.pos + 1][1] == "(":
                 self.error(f"unknown function {text!r}")
-            self.advance()
-            return ParamRef(text)
+            return self.leaf((ParamRef, text), ParamRef, text)
         self.fail("an expression")
 
-    def propref(self) -> Expr:
+    def propref(self) -> NoReturn:
+        """A `self` that starts no "ref" token: the first of its parts that
+        is missing.  Each part present is an IDENT or a ".", so the last
+        one, had it been an IDENT, would have made the whole a "ref"."""
         self.advance()  # "self"
         self.expect(".")
-        prop = self.expect_ident("a property name")
+        self.expect_ident("a property name")
         self.expect(".")
-        offset = self.tokens[self.pos][2]
-        attr = self.expect_ident("one of value/units/values/count")
-        if attr not in REF_ATTRS:
-            self.error(
-                f"unknown property accessor {attr!r} (expected one of {', '.join(REF_ATTRS)})",
-                offset,
-            )
-        return PropRef(prop, attr)
+        self.fail("one of value/units/values/count")
 
     def aggregate(self) -> Expr:
         fn = self.advance()
@@ -534,9 +560,13 @@ class _Parser:
         return Aggregate(fn, arg)
 
 
-def parse(source: str) -> Expr:
-    """Parse `source` into an AST; whitespace-insensitive."""
-    return _Parser(source).parse()
+def parse(source: str, leaves: dict | None = None) -> Expr:
+    """Parse `source` into an AST; whitespace-insensitive.
+
+    Trees parsed with the same `leaves` dict share one node per distinct
+    number literal text, property reference and parameter; the dict's
+    keys are tuples, so it may also hold other keys, such as source texts."""
+    return _Parser(source, {} if leaves is None else leaves).parse()
 
 
 # --- printer -----------------------------------------------------------------

@@ -77,12 +77,13 @@ def _get(obj: dict, key: str, type_, path: str, what: str, default=_expect):
 
 def _parse_expr(text: str, path: str, trees: dict):
     """The tree of `text`, parsed once per load: `trees` maps each source
-    parsed so far in this `load_text` call to its tree.  Trees are frozen,
-    so members with the same source share one."""
+    parsed so far in this `load_text` call to its tree, and is also the
+    `parse` leaf table, whose keys are tuples.  Trees are frozen, so
+    members with the same source share one, and trees share leaves."""
     tree = trees.get(text)
     if tree is None:
         try:
-            tree = trees[text] = parse(text)
+            tree = trees[text] = parse(text, trees)
         except ExprError as exc:
             raise LoadError(f"bad expression: {exc}", path) from exc
     return tree
@@ -231,7 +232,7 @@ def load_text(text: str) -> Network:
     if fmt != FORMAT:
         raise LoadError(f"unsupported format {fmt!r} (expected {FORMAT!r})", "$.format")
 
-    trees = {}  # expression source -> tree, for this call only
+    trees = {}  # expression source -> tree, and leaf key -> leaf, for this call only
     classes = tuple(
         _load_class(c, f"$.classes[{i}]", trees)
         for i, c in enumerate(_get(doc, "classes", list, "$", "a list", default=[]))

@@ -52,6 +52,18 @@ class TestParse:
         assert parse("self.side_sizes.values") == PropRef("side_sizes", "values")
         assert parse("self.p.units") == PropRef("p", "units")
 
+    def test_propref_parts_may_be_spaced(self):
+        # docs/grammar.md: whitespace or newlines may stand between the parts.
+        assert parse("self .p\n.\tvalue") == PropRef("p", "value")
+        assert parse("self\r\n.\n side_sizes  .values") == PropRef("side_sizes", "values")
+
+    def test_propref_property_name_may_be_a_keyword(self):
+        # docs/grammar.md: the property name is any IDENT, keywords included.
+        assert parse("self.if.value") == PropRef("if", "value")
+        assert parse("self.self.count + self.and.units") == Arith(
+            "+", PropRef("self", "count"), PropRef("and", "units")
+        )
+
     def test_paramref(self):
         assert parse("d1") == ParamRef("d1")
 

@@ -23,7 +23,7 @@ _FRAGMENTS = [
     "0", "1", "2.5", "1e3", "1e", "3", "1e400", "0.1", "007", "\u0663",
     '"cm"', '"a b"', '"q\\"x"', '"n\\n"', '"two\nlines"', '"\\\\"', '"a\\\nb"',
     "x", "y", "d1", "_p", "self", ".", "p1", "side_sizes", "value", "units",
-    "values", "count", "size",
+    "values", "count", "size", "self.p.value", "self.", "selfx", "valuex", ".value",
     "(", ")", ",", "+", "-", "*", "/", "==", "!=", "<", "<=", ">", ">=",
     "and", "or", "not", "if", "then", "else",
     "sum", "min", "max", "all_equal", "median",
@@ -38,8 +38,12 @@ _LONG = [
 _ATOMS = [
     ["1"], ["2.5"], ["1e3"], ["x"], ["d1"], ['"cm"'], ['"two\nlines"'],
     ["self", ".", "p1", ".", "value"], ["self", ".", "side_sizes", ".", "values"],
+    ["self", ".", "if", ".", "count"], ["self", ".", "_q", ".", "units"],
 ]
-_BAD_ATOMS = [["1e400"], ["self", ".", "p", ".", "size"], ["median", "(", "x", ")"]]
+_BAD_ATOMS = [
+    ["1e400"], ["self", ".", "p", ".", "size"], ["median", "(", "x", ")"],
+    ["self", ".", "p"], ["self", ".", ".", "p", ".", "value"], ["self", ".", "p", ".", "1"],
+]
 _BINOPS = ["+", "-", "*", "/", "==", "!=", "<", "<=", ">", ">=", "and", "or"]
 
 
@@ -126,3 +130,52 @@ def test_hypothesis_trees_with_random_spacing_agree(tree, spaces):
     # Spacing that keeps every token apart gives back the tree itself.
     if "" not in spaces:
         assert parse(source) == tree
+
+
+# Property references, well formed and not: a well-formed one may lex as
+# one token, and every other must fail as the separate tokens do.
+_REFERENCES = [
+    "self.p.value", "selfx.p.value", "self.", "self..p.value", "self.p", "self.p.",
+    "self.p.1", "self.p.value.q", "self.p.valuex", "self.if.value", "self.p.if",
+    "self\r\n.p\t.value", "self . p . count", "self\n\n.p.\n\nsize",
+    "self.p@.value", "self.@p.value", "self.p.@value", "self@.p.value", "self.p.value@",
+    "self.p.size @", '"cm"self.p.units', 'self.p.units"cm"', "2self.p.value",
+    "self.p.value2", "self.p.value.5", "1.self.p.value", "self.1p.value", "self.p.e3",
+    "x self.p.value", "self.p.value self.q.value", "(self.p.value", "sum(self.p.values",
+    "self.p.value(1)", "self .p .value == self. q. value",
+]
+
+
+@pytest.mark.parametrize("source", _REFERENCES, ids=repr)
+def test_property_references_agree(source):
+    _assert_agree(source)
+
+
+_REF_PROPS = ["p", "p1", "_x", "if", "self", "value", "1", "", "@"]
+_REF_ATTRS = ["value", "units", "values", "count", "valuex", "size", "if", "1", "", "$"]
+_REF_SIDES = ["", "", "1 + ", "- ", "not ", "(", ")", "2", '"s"', "x ", "+ 1", ".q", "sum(", "@"]
+
+
+def _reference_soup(rng: random.Random) -> str:
+    """A property reference with random spacing between its parts, a part
+    sometimes dropped or doubled, and something random on either side."""
+    parts = [rng.choice(["self", "self", "selfx"]), ".", rng.choice(_REF_PROPS), ".",
+             rng.choice(_REF_ATTRS)]
+    if rng.random() < 0.2:
+        i = rng.randrange(len(parts))
+        if rng.random() < 0.5:
+            parts.insert(i, parts[i])
+        else:
+            del parts[i]
+    spaced = "".join(part + rng.choice(_SPACES) for part in parts)
+    return rng.choice(_REF_SIDES) + spaced + rng.choice(_REF_SIDES)
+
+
+def test_seeded_reference_soups_agree():
+    rng = random.Random(20151014)
+    kinds = set()
+    for _ in range(5_000):
+        source = _reference_soup(rng)
+        _assert_agree(source)
+        kinds.add(_outcome(parse, source)[0])
+    assert {"tree"} < kinds
