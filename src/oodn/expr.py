@@ -587,7 +587,8 @@ def _fmt_num(v: float) -> str:
     return repr(v)
 
 
-def _render(e: Expr) -> str:
+def print_expr(e: Expr) -> str:
+    """Render `e` with minimal parentheses; parse(print_expr(e)) == e."""
     if isinstance(e, Num):
         return _fmt_num(e.value)
     if isinstance(e, Text):
@@ -602,24 +603,22 @@ def _render(e: Expr) -> str:
     if isinstance(e, Not):
         return f"not {_child(e.operand, _PREC_NOT, tight=False)}"
     if isinstance(e, Aggregate):
-        return f"{e.fn}({_render(e.arg)})"
+        return f"{e.fn}({print_expr(e.arg)})"
     if isinstance(e, If):
         # `then` and `else` delimit the parts, so no part needs
         # parentheses; adding them would add nesting levels.
-        return f"if {_render(e.condition)} then {_render(e.then)} else {_render(e.orelse)}"
+        return (
+            f"if {print_expr(e.condition)} then {print_expr(e.then)} "
+            f"else {print_expr(e.orelse)}"
+        )
     raise TypeError(f"not an expression node: {e!r}")
 
 
 def _child(e: Expr, parent_prec: int, tight: bool) -> str:
     p = _prec(e)
     if p < parent_prec or (tight and p == parent_prec):
-        return f"({_render(e)})"
-    return _render(e)
-
-
-def print_expr(e: Expr) -> str:
-    """Render `e` with minimal parentheses; parse(print_expr(e)) == e."""
-    return _render(e)
+        return f"({print_expr(e)})"
+    return print_expr(e)
 
 
 # --- normal form -------------------------------------------------------------

@@ -2,9 +2,12 @@
 classification, composition, and application to objects and classes.
 
 Classification is target-relative: the same edit list can be full on a
-small class and partial on a larger one.  Coverage counts pre-existing
-members touched; pure additions touch nothing and classify as partial
-with empty coverage.
+small class and partial on a larger one.  Coverage is the set of
+pre-existing members that the edits find by name, each in the list
+(properties or methods) where that edit applies; the modifier is full
+when coverage holds every member of the target and partial otherwise.
+Pure additions find nothing, so they classify as partial.  On a target
+of the modifier's kind, classifying raises exactly where applying does.
 """
 
 from __future__ import annotations
@@ -135,81 +138,67 @@ class ModifierKind(Enum):
 
 # --- edit application --------------------------------------------------------
 
-
-def _apply_edit(
-    spec: list, sig: list, edit: ModificationFunction, who: str
-) -> None:
-    def find(members: list, name: str) -> int | None:
-        return next((i for i, x in enumerate(members) if x.name == name), None)
-
-    def index(members: list, name: str, what: str) -> int:
-        i = find(members, name)
-        if i is None:
-            raise ModifierError(f"{who}: no {what} named {name!r}")
-        return i
-
-    if isinstance(edit, (SetValue, SetUnits)):
-        i = index(spec, edit.property_name, "property")
-        if not isinstance(spec[i], QuantitativeProperty):
-            raise ModifierError(
-                f"{who}: property {edit.property_name!r} is not quantitative"
-            )
-        change = {"value": edit.value} if isinstance(edit, SetValue) else {"units": edit.units}
-        spec[i] = dataclasses.replace(spec[i], **change)
-    elif isinstance(edit, SetExpression):
-        # Targets a qualitative property's verification, or (when no such
-        # property exists) a method's body.
-        i = find(spec, edit.property_name)
-        if i is not None:
-            if not isinstance(spec[i], QualitativeProperty):
-                raise ModifierError(
-                    f"{who}: property {edit.property_name!r} is not qualitative"
-                )
-            spec[i] = dataclasses.replace(spec[i], verification=edit.expression)
-        else:
-            i = index(sig, edit.property_name, "method")
-            sig[i] = dataclasses.replace(sig[i], body=edit.expression)
-    elif isinstance(edit, AddProperty):
-        if any(p.name == edit.prop.name for p in spec):
-            raise ModifierError(f"{who}: property {edit.prop.name!r} already exists")
-        spec.append(edit.prop)
-    elif isinstance(edit, RemoveProperty):
-        del spec[index(spec, edit.property_name, "property")]
-    elif isinstance(edit, ReplaceProperty):
-        i = index(spec, edit.property_name, "property")
-        if edit.replacement.name != edit.property_name and any(
-            p.name == edit.replacement.name for p in spec
-        ):
-            raise ModifierError(
-                f"{who}: property {edit.replacement.name!r} already exists"
-            )
-        spec[i] = edit.replacement
-    elif isinstance(edit, AddMethod):
-        if any(m.name == edit.method.name for m in sig):
-            raise ModifierError(f"{who}: method {edit.method.name!r} already exists")
-        sig.append(edit.method)
-    elif isinstance(edit, RemoveMethod):
-        del sig[index(sig, edit.method_name, "method")]
-    elif isinstance(edit, ReplaceMethod):
-        i = index(sig, edit.method_name, "method")
-        if edit.replacement.name != edit.method_name and any(
-            m.name == edit.replacement.name for m in sig
-        ):
-            raise ModifierError(f"{who}: method {edit.replacement.name!r} already exists")
-        sig[i] = edit.replacement
-    else:
-        raise ModifierError(f"{who}: unknown edit {edit!r}")
+_METHOD_EDITS = (AddMethod, RemoveMethod, ReplaceMethod)
 
 
-def _apply_edits(
-    spec: Specification, sig: Signature, m: Modifier
-) -> tuple[Specification, Signature]:
-    props = list(spec)
-    methods = list(sig)
+def _apply_edits(m: Modifier, t, source) -> tuple[ClassDef | ObjectInstance, set]:
+    """`t` rebuilt with `m`'s edits run in order on copies of the property
+    and method lists of `source` (a class's core, or an object itself).
+    Also returns the (kind, name) of each member an edit found by name,
+    with kind "property" or "method" for the list the edit applied to."""
+    lists = {"property": list(source.specification), "method": list(source.signature)}
+    found = set()
     who = f"modifier {m.name!r}"
+
+    def index(kind: str, name: str) -> int:
+        for i, x in enumerate(lists[kind]):
+            if x.name == name:
+                found.add((kind, name))
+                return i
+        raise ModifierError(f"{who}: no {kind} named {name!r}")
+
+    def vacant(kind: str, name: str) -> None:
+        if any(x.name == name for x in lists[kind]):
+            raise ModifierError(f"{who}: {kind} {name!r} already exists")
+
     for edit in m.edits:
-        _apply_edit(props, methods, edit, who)
-    return Specification(tuple(props)), Signature(tuple(methods))
+        kind = "method" if isinstance(edit, _METHOD_EDITS) else "property"
+        members = lists[kind]
+        match edit:
+            case SetValue(name, _) | SetUnits(name, _):
+                i = index(kind, name)
+                if not isinstance(members[i], QuantitativeProperty):
+                    raise ModifierError(f"{who}: property {name!r} is not quantitative")
+                field = "value" if isinstance(edit, SetValue) else "units"
+                members[i] = dataclasses.replace(members[i], **{field: getattr(edit, field)})
+            case SetExpression(name, expression):
+                # Targets a qualitative property's verification, or (when no such
+                # property exists) a method's body.
+                if not any(p.name == name for p in members):
+                    kind, members = "method", lists["method"]
+                i = index(kind, name)
+                if kind == "method":
+                    members[i] = dataclasses.replace(members[i], body=expression)
+                elif isinstance(members[i], QualitativeProperty):
+                    members[i] = dataclasses.replace(members[i], verification=expression)
+                else:
+                    raise ModifierError(f"{who}: property {name!r} is not qualitative")
+            case AddProperty(new) | AddMethod(new):
+                vacant(kind, new.name)
+                members.append(new)
+            case RemoveProperty(name) | RemoveMethod(name):
+                del members[index(kind, name)]
+            case ReplaceProperty(name, new) | ReplaceMethod(name, new):
+                i = index(kind, name)
+                if new.name != name:
+                    vacant(kind, new.name)
+                members[i] = new
+            case _:
+                raise ModifierError(f"{who}: unknown edit {edit!r}")
+    spec, sig = Specification(tuple(lists["property"])), Signature(tuple(lists["method"]))
+    if isinstance(t, ClassDef):
+        return ClassDef(name=t.name, core=Core(spec, sig)), found
+    return dataclasses.replace(t, specification=spec, signature=sig), found
 
 
 def apply_to_class(m: Modifier, t: ClassDef) -> ClassDef:
@@ -217,8 +206,7 @@ def apply_to_class(m: Modifier, t: ClassDef) -> ClassDef:
     if m.target_kind != CLASS:
         raise ModifierError(f"modifier {m.name!r} targets objects, not classes")
     core = require_homogeneous(t, f"modifier {m.name!r}")
-    spec, sig = _apply_edits(core.specification, core.signature, m)
-    return ClassDef(name=t.name, core=Core(spec, sig))
+    return _apply_edits(m, t, core)[0]
 
 
 def apply_to_object(m: Modifier, o: ObjectInstance) -> ObjectInstance:
@@ -226,60 +214,35 @@ def apply_to_object(m: Modifier, o: ObjectInstance) -> ObjectInstance:
     identifier afterwards."""
     if m.target_kind != OBJECT:
         raise ModifierError(f"modifier {m.name!r} targets classes, not objects")
-    spec, sig = _apply_edits(o.specification, o.signature, m)
-    return dataclasses.replace(o, specification=spec, signature=sig)
+    return _apply_edits(m, o, o)[0]
 
 
 # --- classification ----------------------------------------------------------
 
 
-def _target_members(target) -> tuple[Specification, Signature]:
-    if isinstance(target, ClassDef):
-        core = require_homogeneous(target, "classify")
-        return core.specification, core.signature
-    if isinstance(target, ObjectInstance):
-        return target.specification, target.signature
-    raise ModifierError(f"cannot classify against {target!r}")
-
-
-def _touched(edit: ModificationFunction, original: set) -> tuple[str, str] | None:
-    """Namespaced name of the pre-existing member an edit touches, if any."""
-    if isinstance(edit, SetExpression):
-        if ("p", edit.property_name) in original:
-            return ("p", edit.property_name)
-        return ("m", edit.property_name)
-    if isinstance(edit, (SetValue, SetUnits, RemoveProperty, ReplaceProperty)):
-        return ("p", edit.property_name)
-    if isinstance(edit, (RemoveMethod, ReplaceMethod)):
-        return ("m", edit.method_name)
-    return None  # additions touch nothing pre-existing
-
-
 def classify(m: Modifier, target) -> frozenset:
-    """Effect-derived kind set against a concrete target.  Includes full
-    or partial by coverage of pre-existing members, plus generating /
-    destroying / commutable per the edit primitives used."""
-    spec, sig = _target_members(target)
-    # Applicability check: the edits must run cleanly in order.
-    _apply_edits(spec, sig, m)
-
-    original = {("p", p.name) for p in spec} | {("m", mm.name) for mm in sig}
-    coverage = set()
-    kinds = set()
+    """Effect-derived kind set against a concrete target: full when the
+    edits find every pre-existing member, partial otherwise, plus
+    generating / destroying / commutable per the edit primitives used.
+    Raises where applying `m` to `target` raises: when an edit does not
+    apply, or when the modified node cannot exist."""
+    if isinstance(target, ClassDef):
+        members = require_homogeneous(target, "classify")
+    elif isinstance(target, ObjectInstance):
+        members = target
+    else:
+        raise ModifierError(f"cannot classify against {target!r}")
+    _, found = _apply_edits(m, target, members)
+    original = {("property", name) for name in members.specification.names}
+    original |= {("method", name) for name in members.signature.names}
+    kinds = {ModifierKind.FULL if original and original <= found else ModifierKind.PARTIAL}
     for edit in m.edits:
-        touched = _touched(edit, original)
-        if touched is not None and touched in original:
-            coverage.add(touched)
         if isinstance(edit, (AddProperty, AddMethod)):
             kinds.add(ModifierKind.GENERATING)
         elif isinstance(edit, (RemoveProperty, RemoveMethod)):
             kinds.add(ModifierKind.DESTROYING)
         elif isinstance(edit, (ReplaceProperty, ReplaceMethod)):
             kinds.add(ModifierKind.COMMUTABLE)
-    if original and coverage == original:
-        kinds.add(ModifierKind.FULL)
-    else:
-        kinds.add(ModifierKind.PARTIAL)
     return frozenset(kinds)
 
 

@@ -1,8 +1,10 @@
 """Shared test utilities: compact builders, an independent member-matching
-oracle for the set operations, random generators, and a small DOT checker."""
+oracle for the set operations, random generators, a start network, and a
+small DOT checker."""
 
 from __future__ import annotations
 
+import random
 import re
 
 from oodn import (
@@ -16,6 +18,8 @@ from oodn import (
     Specification,
 )
 from oodn.expr import normalize, parse, print_expr
+from oodn.modifiers import AddProperty, Modifier, RemoveProperty, SetUnits, SetValue
+from oodn.network import EXPLOITER_NAMES, Network
 
 # --- builders ----------------------------------------------------------------
 
@@ -148,6 +152,30 @@ def random_class(rng, name):
     k = rng.randint(1, 8)
     names = rng.sample(pool, k)
     return cls(name, *(random_member(rng, n) for n in names))
+
+
+# --- a start network ----------------------------------------------------------
+
+
+def helpers_network(seed: int, exploiters=EXPLOITER_NAMES) -> Network:
+    """Five random classes, a class `Q`, five objects (one a clone) and
+    five modifiers, class and object ones."""
+    rng = random.Random(1000 + seed)
+    classes = [random_class(rng, f"C{i}") for i in range(5)]
+    classes.append(cls("Q", qprop("p1"), qual("p2", "self.p1.value > 0")))
+    objects = [
+        obj(f"o{i}", qprop("p1", value=float(i % 3)), qual("p2", degree=1.0))
+        for i in range(4)
+    ]
+    objects.append(obj("o0", qprop("p1", value=0.0), clone_index=2))
+    modifiers = [
+        Modifier("kg", "class", (SetUnits("p1", "kg"),)),
+        Modifier("grow", "class", (AddProperty(qprop("p7", "s")),)),
+        Modifier("drop", "class", (RemoveProperty("p1"),)),
+        Modifier("two", "object", (SetValue("p1", 2.0),)),
+        Modifier("tag", "object", (AddProperty(qprop("p8", "kg", 1.0)),)),
+    ]
+    return Network(objects=objects, classes=classes, modifiers=modifiers, exploiters=exploiters)
 
 
 # --- DOT well-formedness ------------------------------------------------------

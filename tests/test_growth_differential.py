@@ -20,17 +20,10 @@ import pytest
 
 from oodn import network
 from oodn.errors import OodnError
-from oodn.modifiers import (
-    AddProperty,
-    Modifier,
-    RemoveProperty,
-    SetUnits,
-    SetValue,
-)
 from oodn.network import EXPLOITER_NAMES, Network, NodeRef, Relation, class_ref, object_ref
 
 from . import reference_growth as reference
-from .helpers import cls, obj, qprop, qual, random_class
+from .helpers import cls, helpers_network, obj, qprop
 
 SEEDS = range(12)
 STEPS = 40
@@ -72,29 +65,10 @@ def _check_step(n: Network, step) -> Network:
 # --- start networks ----------------------------------------------------------
 
 
-def _helpers_network(seed: int, exploiters=EXPLOITER_NAMES) -> Network:
-    rng = random.Random(1000 + seed)
-    classes = [random_class(rng, f"C{i}") for i in range(5)]
-    classes.append(cls("Q", qprop("p1"), qual("p2", "self.p1.value > 0")))
-    objects = [
-        obj(f"o{i}", qprop("p1", value=float(i % 3)), qual("p2", degree=1.0))
-        for i in range(4)
-    ]
-    objects.append(obj("o0", qprop("p1", value=0.0), clone_index=2))
-    modifiers = [
-        Modifier("kg", "class", (SetUnits("p1", "kg"),)),
-        Modifier("grow", "class", (AddProperty(qprop("p7", "s")),)),
-        Modifier("drop", "class", (RemoveProperty("p1"),)),
-        Modifier("two", "object", (SetValue("p1", 2.0),)),
-        Modifier("tag", "object", (AddProperty(qprop("p8", "kg", 1.0)),)),
-    ]
-    return Network(objects=objects, classes=classes, modifiers=modifiers, exploiters=exploiters)
-
-
 def _starts(polygons):
     yield "polygons", polygons
-    yield "helpers", _helpers_network(0)
-    yield "helpers-no-clone", _helpers_network(1, EXPLOITER_NAMES - {"clone", "difference"})
+    yield "helpers", helpers_network(0)
+    yield "helpers-no-clone", helpers_network(1, EXPLOITER_NAMES - {"clone", "difference"})
 
 
 # --- scripts -----------------------------------------------------------------

@@ -2,7 +2,7 @@ import pytest
 
 from oodn import Modifier, ModifierError, ModifierKind, classify, compose
 from oodn.expr import parse
-from oodn.model import classes_member_equivalent
+from oodn.model import ModelError, classes_member_equivalent
 from oodn.modifiers import (
     AddMethod,
     AddProperty,
@@ -185,6 +185,40 @@ class TestClassify:
         o = obj("o", qprop("p", value=1))
         m = object_modifier("m", SetValue("p", 2.0))
         assert classify(m, o) == {ModifierKind.FULL}
+
+    def test_expression_on_added_property_leaves_method_uncovered(self):
+        # The expression goes to the property added first, not to method f.
+        t = cls("t", meth("f"))
+        m = class_modifier(
+            "m",
+            AddProperty(qual("f", degree=1.0)),
+            SetExpression("f", parse("self.p.value > 0")),
+        )
+        assert classify(m, t) == {ModifierKind.PARTIAL, ModifierKind.GENERATING}
+
+    def test_expression_after_removal_covers_method(self):
+        # Once property q is gone, the expression sets method q's body.
+        t = cls("t", qprop("q"), meth("q"))
+        m = class_modifier("m", RemoveProperty("q"), SetExpression("q", parse("1 + 2")))
+        assert classify(m, t) == {ModifierKind.FULL, ModifierKind.DESTROYING}
+
+    @pytest.mark.parametrize(
+        "m, target, message",
+        [
+            (class_modifier("m", RemoveProperty("p")), cls("t", qprop("p")), "empty core"),
+            (
+                object_modifier("m", AddProperty(qprop("q"))),
+                obj("o", qprop("p", value=1)),
+                "must carry a concrete value",
+            ),
+        ],
+    )
+    def test_raises_where_the_result_cannot_exist(self, m, target, message):
+        apply = apply_to_class if m.target_kind == "class" else apply_to_object
+        with pytest.raises(ModelError, match=message):
+            apply(m, target)
+        with pytest.raises(ModelError, match=message):
+            classify(m, target)
 
     def test_inapplicable_modifier_rejected(self):
         t = cls("t", qprop("p"))
