@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import OodnError
 from .io import export_dot, load_file, save_text
-from .model import ClassDef, ObjectInstance
+from .model import ClassDef, ObjectInstance, QuantitativeProperty
 from .network import (
     Network,
     NetworkError,
@@ -86,7 +86,7 @@ def _print_node_report(node: ClassDef | ObjectInstance) -> None:
     if isinstance(node, ObjectInstance):
         print(f"object {node.node_name}")
         for p in node.specification:
-            if hasattr(p, "units"):
+            if isinstance(p, QuantitativeProperty):
                 print(f"  {p.name}: {p.value} {p.units}")
             else:
                 print(f"  {p.name}: degree={p.degree}")
@@ -118,8 +118,7 @@ def _maybe_out(args, n: Network) -> None:
 # --- commands ----------------------------------------------------------------
 
 
-def _cmd_validate(args) -> int:
-    n = load_file(args.file)
+def _cmd_validate(n: Network, args) -> int:
     summary = {
         "classes": len(n.classes),
         "objects": len(n.objects),
@@ -137,8 +136,7 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_show(args) -> int:
-    n = load_file(args.file)
+def _cmd_show(n: Network, args) -> int:
     if args.node is None:
         if args.json:
             print(
@@ -167,8 +165,7 @@ def _cmd_show(args) -> int:
     return EXIT_OK
 
 
-def _cmd_op(args) -> int:
-    n = load_file(args.file)
+def _cmd_op(n: Network, args) -> int:
     operands = [_resolve_name(n, name) for name in args.operands]
     n2, result_ref, result = apply_exploiter(
         n, args.exploiter, operands, clone_index=args.index, dedup=not args.no_dedup
@@ -189,8 +186,7 @@ def _cmd_op(args) -> int:
     return EXIT_OK
 
 
-def _cmd_modify(args) -> int:
-    n = load_file(args.file)
+def _cmd_modify(n: Network, args) -> int:
     target = _resolve_name(n, args.target)
     n2, result_ref = apply_modifier(n, args.modifier, target, dedup=not args.no_dedup)
     _maybe_out(args, n2)
@@ -215,8 +211,7 @@ def _is_new(n: Network, ref: NodeRef) -> bool:
     return n.find_node(ref.display) is None
 
 
-def _cmd_infer(args) -> int:
-    n = load_file(args.file)
+def _cmd_infer(n: Network, args) -> int:
     n2 = with_inferred(n, args.threshold)
     inferred = [r for r in n2.relations if r.provenance == "inferred"]
     if args.json:
@@ -243,8 +238,7 @@ def _cmd_infer(args) -> int:
     return EXIT_OK
 
 
-def _cmd_query(args) -> int:
-    n = load_file(args.file)
+def _cmd_query(n: Network, args) -> int:
     if args.pattern == "instances-of":
         refs = instances_of(n, args.node)
     elif args.pattern == "subclasses-of":
@@ -266,8 +260,7 @@ def _cmd_query(args) -> int:
     return EXIT_OK
 
 
-def _cmd_export_dot(args) -> int:
-    n = load_file(args.file)
+def _cmd_export_dot(n: Network, args) -> int:
     text = export_dot(n)
     if args.out:
         _write_atomic(args.out, text)
@@ -359,7 +352,7 @@ def _one_line(exc: BaseException) -> str:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.fn(args)
+        return args.fn(load_file(args.file), args)
     except (OSError, OodnError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -623,32 +623,8 @@ def _child(e: Expr, parent_prec: int, tight: bool) -> str:
 
 # --- normal form -------------------------------------------------------------
 
-def _key(e: Expr):
-    """Fixed total order on subtrees: variant tag, then payload, then children."""
-    if isinstance(e, Num):
-        return (0, e.value)
-    if isinstance(e, Text):
-        return (1, e.value)
-    if isinstance(e, PropRef):
-        return (2, e.prop, e.attr)
-    if isinstance(e, ParamRef):
-        return (3, e.name)
-    if isinstance(e, Arith):
-        return (4, e.op, _key(e.left), _key(e.right))
-    if isinstance(e, Compare):
-        return (5, e.op, _key(e.left), _key(e.right))
-    if isinstance(e, Not):
-        return (6, _key(e.operand))
-    if isinstance(e, Connective):
-        return (7, e.op, _key(e.left), _key(e.right))
-    if isinstance(e, Aggregate):
-        return (8, e.fn, _key(e.arg))
-    if isinstance(e, If):
-        return (9, _key(e.condition), _key(e.then), _key(e.orelse))
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 _LITERALS = (Num, Text)
+_BINARY_TAGS = {Arith: 4, Compare: 5, Connective: 7}
 
 
 def normalize(e: Expr) -> Expr:
@@ -656,38 +632,51 @@ def normalize(e: Expr) -> Expr:
     removed, and each operator over literals replaced by the number
     `evaluate` gives it, unless evaluation fails or overflows (so that
     every normal form prints).  Idempotent and semantics-preserving."""
-    if isinstance(e, (Num, Text, PropRef, ParamRef)):
-        return e
+    return _normalize(e)[0]
+
+
+def _normalize(e: Expr) -> tuple:
+    """`normalize(e)` and its order key, a fixed total order on subtrees:
+    variant tag, then payload, then the children's keys."""
+    if isinstance(e, Num):
+        return e, (0, e.value)
+    if isinstance(e, Text):
+        return e, (1, e.value)
+    if isinstance(e, PropRef):
+        return e, (2, e.prop, e.attr)
+    if isinstance(e, ParamRef):
+        return e, (3, e.name)
     if isinstance(e, Aggregate):
-        return Aggregate(e.fn, normalize(e.arg))
+        arg, arg_key = _normalize(e.arg)
+        return Aggregate(e.fn, arg), (8, e.fn, arg_key)
     if isinstance(e, If):
-        cond = normalize(e.condition)
-        then, orelse = normalize(e.then), normalize(e.orelse)
-        if isinstance(cond, Num):
-            return then if cond.value > 0 else orelse
-        return If(cond, then, orelse)
+        cond, then, orelse = map(_normalize, (e.condition, e.then, e.orelse))
+        if isinstance(cond[0], Num):
+            return then if cond[0].value > 0 else orelse
+        return If(cond[0], then[0], orelse[0]), (9, cond[1], then[1], orelse[1])
     if isinstance(e, Not):
-        operand = normalize(e.operand)
+        operand, operand_key = _normalize(e.operand)
         if isinstance(operand, Not):
-            return operand.operand
-        e = Not(operand)
+            return operand.operand, operand_key[1]
+        e, key = Not(operand), (6, operand_key)
         literal = isinstance(operand, _LITERALS)
     elif isinstance(e, (Arith, Compare, Connective)):
-        left, right = normalize(e.left), normalize(e.right)
-        if _BINARY[e.op].commutative and _key(right) < _key(left):
+        left, right = _normalize(e.left), _normalize(e.right)
+        if _BINARY[e.op].commutative and right[1] < left[1]:
             left, right = right, left
-        e = type(e)(e.op, left, right)
-        literal = isinstance(left, _LITERALS) and isinstance(right, _LITERALS)
+        e = type(e)(e.op, left[0], right[0])
+        key = (_BINARY_TAGS[type(e)], e.op, left[1], right[1])
+        literal = isinstance(left[0], _LITERALS) and isinstance(right[0], _LITERALS)
     else:
         raise TypeError(f"not an expression node: {e!r}")
     if literal:
         try:
             value = evaluate(e, _NO_CONTEXT)
         except EvalError:
-            return e
+            return e, key
         if math.isfinite(value):
-            return Num(value)
-    return e
+            return Num(value), (0, value)
+    return e, key
 
 
 def expr_equal(a: Expr, b: Expr) -> bool:

@@ -144,8 +144,39 @@ class QualitativeProperty:
 Property = Union[QuantitativeProperty, QualitativeProperty]
 
 
+class _NamedMembers:
+    """The part `Specification` and `Signature` share: members with
+    pairwise-distinct names, indexed by name.  The index keeps the
+    members in order, so iteration, `len` and `names` read it too."""
+
+    __slots__ = ()
+
+    def _index(self, members: tuple, kinds: tuple, noun: str) -> None:
+        by_name = {}
+        for x in members:
+            if not isinstance(x, kinds):
+                raise ModelError(f"not a {noun}: {x!r}")
+            if x.name in by_name:
+                raise ModelError(f"duplicate {noun} name {x.name!r}")
+            by_name[x.name] = x
+        object.__setattr__(self, "_by_name", by_name)
+
+    def __iter__(self) -> Iterator:
+        return iter(self._by_name.values())
+
+    def __len__(self) -> int:
+        return len(self._by_name)
+
+    @property
+    def names(self) -> tuple:
+        return tuple(self._by_name)
+
+    def get(self, name: str):
+        return self._by_name.get(name)
+
+
 @dataclass(frozen=True, slots=True)
-class Specification:
+class Specification(_NamedMembers):
     """Ordered property list with pairwise-distinct names."""
 
     members: tuple = ()
@@ -153,27 +184,7 @@ class Specification:
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
-        by_name = {}
-        for p in self.members:
-            if not isinstance(p, (QuantitativeProperty, QualitativeProperty)):
-                raise ModelError(f"not a property: {p!r}")
-            if p.name in by_name:
-                raise ModelError(f"duplicate property name {p.name!r}")
-            by_name[p.name] = p
-        object.__setattr__(self, "_by_name", by_name)
-
-    def __iter__(self) -> Iterator[Property]:
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    @property
-    def names(self) -> tuple:
-        return tuple(p.name for p in self.members)
-
-    def get(self, name: str) -> Property | None:
-        return self._by_name.get(name)
+        self._index(self.members, (QuantitativeProperty, QualitativeProperty), "property")
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,7 +224,7 @@ class Method:
 
 
 @dataclass(frozen=True, slots=True)
-class Signature:
+class Signature(_NamedMembers):
     """Ordered method list with pairwise-distinct names."""
 
     methods: tuple = ()
@@ -221,27 +232,7 @@ class Signature:
 
     def __post_init__(self):
         object.__setattr__(self, "methods", tuple(self.methods))
-        by_name = {}
-        for m in self.methods:
-            if not isinstance(m, Method):
-                raise ModelError(f"not a method: {m!r}")
-            if m.name in by_name:
-                raise ModelError(f"duplicate method name {m.name!r}")
-            by_name[m.name] = m
-        object.__setattr__(self, "_by_name", by_name)
-
-    def __iter__(self) -> Iterator[Method]:
-        return iter(self.methods)
-
-    def __len__(self) -> int:
-        return len(self.methods)
-
-    @property
-    def names(self) -> tuple:
-        return tuple(m.name for m in self.methods)
-
-    def get(self, name: str) -> Method | None:
-        return self._by_name.get(name)
+        self._index(self.methods, (Method,), "method")
 
 
 def _member_keys(part) -> frozenset:

@@ -6,8 +6,8 @@ small class and partial on a larger one.  Coverage is the set of
 pre-existing members that the edits find by name, each in the list
 (properties or methods) where that edit applies; the modifier is full
 when coverage holds every member of the target and partial otherwise.
-Pure additions find nothing, so they classify as partial.  On a target
-of the modifier's kind, classifying raises exactly where applying does.
+Pure additions find nothing, so they classify as partial.  Classifying
+raises exactly where applying does, also on a node of the other kind.
 """
 
 from __future__ import annotations
@@ -201,20 +201,30 @@ def _apply_edits(m: Modifier, t, source) -> tuple[ClassDef | ObjectInstance, set
     return dataclasses.replace(t, specification=spec, signature=sig), found
 
 
+_NODE_TYPES = {CLASS: ClassDef, OBJECT: ObjectInstance}
+
+
+def _edited_members(m: Modifier, t, kind: str, context: str) -> Core | ObjectInstance:
+    """The members `m`'s edits run on in `t`: a class's core, or an object
+    itself.  Raises a `ModifierError` unless `m` targets `kind` and `t` is
+    a node of that kind, and the `ModelError` that names `context` when a
+    class `t` is not core-only."""
+    if m.target_kind != kind or not isinstance(t, _NODE_TYPES[kind]):
+        if m.target_kind == OBJECT:
+            raise ModifierError(f"modifier {m.name!r} targets objects, not classes")
+        raise ModifierError(f"modifier {m.name!r} targets classes, not objects")
+    return t if kind == OBJECT else require_homogeneous(t, context)
+
+
 def apply_to_class(m: Modifier, t: ClassDef) -> ClassDef:
     """Apply a class modifier to a copy of `t`; `t` itself is unchanged."""
-    if m.target_kind != CLASS:
-        raise ModifierError(f"modifier {m.name!r} targets objects, not classes")
-    core = require_homogeneous(t, f"modifier {m.name!r}")
-    return _apply_edits(m, t, core)[0]
+    return _apply_edits(m, t, _edited_members(m, t, CLASS, f"modifier {m.name!r}"))[0]
 
 
 def apply_to_object(m: Modifier, o: ObjectInstance) -> ObjectInstance:
     """Apply an object modifier to a copy of `o`; the caller may remap the
     identifier afterwards."""
-    if m.target_kind != OBJECT:
-        raise ModifierError(f"modifier {m.name!r} targets classes, not objects")
-    return _apply_edits(m, o, o)[0]
+    return _apply_edits(m, o, _edited_members(m, o, OBJECT, f"modifier {m.name!r}"))[0]
 
 
 # --- classification ----------------------------------------------------------
@@ -224,14 +234,10 @@ def classify(m: Modifier, target) -> frozenset:
     """Effect-derived kind set against a concrete target: full when the
     edits find every pre-existing member, partial otherwise, plus
     generating / destroying / commutable per the edit primitives used.
-    Raises where applying `m` to `target` raises: when an edit does not
-    apply, or when the modified node cannot exist."""
-    if isinstance(target, ClassDef):
-        members = require_homogeneous(target, "classify")
-    elif isinstance(target, ObjectInstance):
-        members = target
-    else:
-        raise ModifierError(f"cannot classify against {target!r}")
+    Raises where applying `m` to `target` raises: when `target` is not a
+    node of `m`'s target kind, when an edit does not apply, or when the
+    modified node cannot exist."""
+    members = _edited_members(m, target, m.target_kind, "classify")
     _, found = _apply_edits(m, target, members)
     original = {("property", name) for name in members.specification.names}
     original |= {("method", name) for name in members.signature.names}

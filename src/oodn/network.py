@@ -170,12 +170,12 @@ class Network:
         keys = {(OBJECT, o.identifier, o.clone_index) for o in self.objects}
         keys.update((CLASS, t.name, 0) for t in self.classes)
         triples = set()
-        for r in self.relations:
-            if r.triple in triples:
+        for i, r in enumerate(self.relations):
+            triples.add(r.triple)
+            if len(triples) == i:  # the triple was there already
                 raise NetworkError(
                     f"duplicate relation {r.source.display} -{r.kind}-> {r.target.display}"
                 )
-            triples.add(r.triple)
             s, t = r.source, r.target
             if (s.kind, s.name, s.clone_index) not in keys:
                 self._require(s)

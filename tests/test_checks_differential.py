@@ -4,7 +4,8 @@
 `infer_sort` the sort, or the `SortError` with the same message and the
 same offending node, that `reference_sort` gives.  `reference_sort` is the
 `isinstance` chain that `infer_sort` was before it read its rules from a
-table.  Both checks raise the same `TypeError` on a non-node.
+table.  Both checks, and `normalize`, raise the same `TypeError` on a
+non-node.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from oodn.expr import (
     SortError,
     Text,
     infer_sort,
+    normalize,
     param_refs,
     parse,
     walk,
@@ -150,7 +152,7 @@ _BARE = object()
     ids=repr,
 )
 def test_non_node_is_a_type_error(tree, bad):
-    for check in (param_refs, infer_sort, reference_sort):
+    for check in (param_refs, infer_sort, reference_sort, normalize):
         with pytest.raises(TypeError) as exc:
             check(tree)
         assert str(exc.value) == f"not an expression node: {bad!r}"

@@ -17,8 +17,8 @@ After every step:
 - `with_inferred` is idempotent, compared by saved bytes;
 - every query agrees with a scan of `n.relations`;
 - every display name and relation endpoint resolves to exactly one node;
-- for each registered modifier and each node of its target kind,
-  `classify` raises exactly when `apply_modifier` raises.
+- for each registered modifier and each node of either kind, `classify`
+  raises exactly when `apply_modifier` raises.
 A step that raises an `OodnError` must leave the saved bytes unchanged.
 
 Networks are compared by saved bytes, not by `==`: `Network.__eq__`
@@ -249,7 +249,7 @@ class EngineMachine(RuleBasedStateMachine):
     def classify_raises_when_apply_raises(self):
         n = self.n
         for m in n.modifiers:
-            for node in n.classes if m.target_kind == CLASS else n.objects:
+            for node in n.classes + n.objects:
                 assert _raises(classify, m, node) == _raises(
                     apply_modifier, n, m.name, _ref(node)
                 ), (m, node)

@@ -72,6 +72,32 @@ class TestValidation:
         with pytest.raises(ModelError):
             Signature((meth("f"), meth("f", ("a",))))
 
+    @pytest.mark.parametrize(
+        "make, field, noun, members, other",
+        [
+            (
+                Specification,
+                "members",
+                "property",
+                (qprop("b"), qual("a", degree=1.0), qprop("c", "kg")),
+                meth("x"),
+            ),
+            (Signature, "methods", "method", (meth("b"), meth("a", ("x",)), meth("c")), qprop("x")),
+        ],
+    )
+    def test_member_list(self, make, field, noun, members, other):
+        ml = make(list(members))
+        assert getattr(ml, field) == members and tuple(ml) == members
+        assert ml.names == ("b", "a", "c") and len(ml) == 3
+        assert ml.get("a") is members[1] and ml.get("x") is None
+        assert tuple(make()) == () and make().names == () and len(make()) == 0
+        with pytest.raises(ModelError) as exc:
+            make(members + (members[0],))
+        assert str(exc.value) == f"duplicate {noun} name 'b'"
+        with pytest.raises(ModelError) as exc:
+            make((*members, other))
+        assert str(exc.value) == f"not a {noun}: {other!r}"
+
     def test_method_body_params_declared(self):
         with pytest.raises(ModelError):
             Method("f", ("a",), parse("a + b"))

@@ -2,7 +2,7 @@ import pytest
 
 from oodn import Modifier, ModifierError, ModifierKind, classify, compose
 from oodn.expr import parse
-from oodn.model import ModelError, classes_member_equivalent
+from oodn.model import ClassDef, ModelError, classes_member_equivalent
 from oodn.modifiers import (
     AddMethod,
     AddProperty,
@@ -41,6 +41,27 @@ class TestValidation:
         m = object_modifier("m", SetValue("p", 1.0))
         with pytest.raises(ModifierError, match="targets objects"):
             apply_to_class(m, cls("t", qprop("p")))
+
+    @pytest.mark.parametrize(
+        "apply, m, node, message",
+        [
+            (
+                apply_to_class,
+                class_modifier("m", SetValue("p", 1.0)),
+                obj("o", qprop("p", value=1)),
+                "targets classes, not objects",
+            ),
+            (
+                apply_to_object,
+                object_modifier("m", SetValue("p", 1.0)),
+                cls("t", qprop("p")),
+                "targets objects, not classes",
+            ),
+        ],
+    )
+    def test_node_of_the_wrong_type_on_apply(self, apply, m, node, message):
+        with pytest.raises(ModifierError, match=message):
+            apply(m, node)
 
 
 class TestApply:
@@ -224,6 +245,21 @@ class TestClassify:
         t = cls("t", qprop("p"))
         with pytest.raises(ModifierError):
             classify(class_modifier("m", RemoveProperty("ghost")), t)
+
+    @pytest.mark.parametrize(
+        "m, node",
+        [
+            (object_modifier("M1", SetValue("p", 1.0)), cls("T(P)", qprop("p"))),
+            (class_modifier("M2", SetValue("p", 1.0)), obj("R_1", qprop("p", value=1))),
+        ],
+    )
+    def test_node_of_the_other_kind_raises_as_apply(self, m, node):
+        apply = apply_to_class if isinstance(node, ClassDef) else apply_to_object
+        with pytest.raises(ModifierError) as applied:
+            apply(m, node)
+        with pytest.raises(ModifierError) as classified:
+            classify(m, node)
+        assert str(classified.value) == str(applied.value)
 
 
 class TestCompose:
