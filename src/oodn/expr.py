@@ -175,18 +175,21 @@ _PREC_NOT = 3  # between "and" and the comparisons
 _PREC_ATOM = 9
 
 
+# Each node type -> the function giving the children of its nodes, in order.
+_CHILDREN = {
+    **dict.fromkeys((Num, Text, PropRef, ParamRef), lambda e: ()),
+    **dict.fromkeys((Arith, Compare, Connective), lambda e: (e.left, e.right)),
+    Not: lambda e: (e.operand,),
+    Aggregate: lambda e: (e.arg,),
+    If: lambda e: (e.condition, e.then, e.orelse),
+}
+
+
 def children(e: Expr) -> tuple:
-    if isinstance(e, (Num, Text, PropRef, ParamRef)):
-        return ()
-    if isinstance(e, (Arith, Compare, Connective)):
-        return (e.left, e.right)
-    if isinstance(e, Not):
-        return (e.operand,)
-    if isinstance(e, Aggregate):
-        return (e.arg,)
-    if isinstance(e, If):
-        return (e.condition, e.then, e.orelse)
-    raise TypeError(f"not an expression node: {e!r}")
+    get = _CHILDREN.get(type(e))
+    if get is None:
+        raise TypeError(f"not an expression node: {e!r}")
+    return get(e)
 
 
 def walk(e: Expr) -> Iterator[Expr]:
@@ -199,10 +202,10 @@ def param_refs(e: Expr) -> set[str]:
     names, stack = set(), [e]  # the same set as `walk` gives, in any order
     while stack:
         node = stack.pop()
-        if isinstance(node, ParamRef):
+        if type(node) is ParamRef:
             names.add(node.name)
-        elif not isinstance(node, (Num, Text, PropRef)):
-            stack.extend(children(node))
+        else:  # a non-node falls through to `children`, which raises
+            stack.extend(_CHILDREN.get(type(node), children)(node))
     return names
 
 
@@ -216,8 +219,7 @@ class Sort(Enum):
     NUMBER_LIST = "list-of-number"
 
 
-def _numeric(s: Sort) -> bool:
-    return s in (Sort.NUMBER, Sort.DEGREE)
+_NUMERIC = (Sort.NUMBER, Sort.DEGREE)  # a tuple: `in` tests identity before `Enum.__hash__`
 
 
 def infer_sort(e: Expr) -> Sort:
@@ -234,7 +236,7 @@ def infer_sort(e: Expr) -> Sort:
 
 
 def _sort_arith(e: Arith) -> Sort:
-    if not (_numeric(infer_sort(e.left)) and _numeric(infer_sort(e.right))):
+    if not (infer_sort(e.left) in _NUMERIC and infer_sort(e.right) in _NUMERIC):
         raise SortError(f"arithmetic '{e.op}' needs numeric operands", e)
     return Sort.NUMBER
 
@@ -244,7 +246,7 @@ def _sort_compare(e: Compare) -> Sort:
     if ls is Sort.TEXT and rs is Sort.TEXT:
         if e.op not in ("==", "!="):
             raise SortError(f"ordering '{e.op}' is not defined for text", e)
-    elif not (_numeric(ls) and _numeric(rs)):
+    elif not (ls in _NUMERIC and rs in _NUMERIC):
         raise SortError(f"comparison '{e.op}' needs two numbers or two texts", e)
     return Sort.DEGREE
 
@@ -264,7 +266,7 @@ def _sort_aggregate(e: Aggregate) -> Sort:
 def _sort_if(e: If) -> Sort:
     _check_degree_operand(e.condition, e)
     ts, os_ = infer_sort(e.then), infer_sort(e.orelse)
-    if ts != os_ and not (_numeric(ts) and _numeric(os_)):
+    if ts != os_ and not (ts in _NUMERIC and os_ in _NUMERIC):
         raise SortError("if branches have incompatible sorts", e)
     return ts if ts == os_ else Sort.NUMBER
 
@@ -331,13 +333,12 @@ def _tokenize(source: str) -> list[tuple]:
     quadratic in its length.  `str.rstrip` and the pattern agree on which
     characters are whitespace.
     """
-    tokens = []
-    for m in _TOKEN_RE.finditer(source, 0, len(source.rstrip())):
-        i = m.lastindex
-        if i == _REF:  # the enclosing group closes last, so it is `lastindex`
-            tokens.append(("ref", "self", m.start(i), m["prop"], m["attr"], m.start("attr")))
-        else:
-            tokens.append((m.lastgroup, m[i], m.start(i)))
+    tokens = [
+        (m.lastgroup, m[i], m.start(i))
+        if (i := m.lastindex) != _REF  # the enclosing group closes last, so it is `lastindex`
+        else ("ref", "self", m.start(i), m["prop"], m["attr"], m.start("attr"))
+        for m in _TOKEN_RE.finditer(source, 0, len(source.rstrip()))
+    ]
     tokens.append(("eof", "", len(source)))
     return tokens
 
@@ -373,19 +374,24 @@ MAX_OPERATORS = 128
 
 
 class _Parser:
-    """Recursive descent over the token list.
+    """Precedence climbing over the token list (Pratt, "Top Down Operator
+    Precedence", 1973): `expr` reads an `if`, `binary` the operators and
+    `operand` what they apply to.
 
-    `kind` and `text` are those of the current token.  Operator, keyword,
-    number and string texts never coincide, so most checks test `text` alone.
-    `leaves` maps the key of each leaf made so far to its node.
+    `text` is that of the current token, `tokens[pos]`; only the "eof"
+    token has empty text.  Operator, keyword, number and string texts
+    never coincide, so most checks test `text` alone.  `leaves` maps the
+    key of each leaf made so far to its node.
     """
+
+    __slots__ = ("source", "tokens", "leaves", "pos", "text", "depth", "operators")
 
     def __init__(self, source: str, leaves: dict):
         self.source = source
         self.tokens = _tokenize(source)
         self.leaves = leaves
         self.pos = 0
-        self.kind, self.text = self.tokens[0][:2]
+        self.text = self.tokens[0][1]
         self.depth = 0
         self.operators = 0
 
@@ -393,8 +399,7 @@ class _Parser:
         """Consume the current token and return its text."""
         text = self.text
         self.pos += 1
-        token = self.tokens[self.pos]
-        self.kind, self.text = token[0], token[1]
+        self.text = self.tokens[self.pos][1]
         return text
 
     def error(self, message: str, offset: int | None = None) -> NoReturn:
@@ -414,7 +419,7 @@ class _Parser:
         raise ExprSyntaxError(message, line, offset - self.source.rfind("\n", 0, offset))
 
     def fail(self, expected: str) -> NoReturn:
-        got = repr(self.text) if self.kind != "eof" else "end of input"
+        got = repr(self.text) if self.text else "end of input"
         self.error(f"expected {expected}, got {got}")
 
     def nest(self) -> None:
@@ -428,7 +433,10 @@ class _Parser:
         self.operators += 1
         if self.operators > MAX_OPERATORS:
             self.error(f"expression has more than {MAX_OPERATORS} operators")
-        return self.advance()
+        text = self.text
+        self.pos += 1
+        self.text = self.tokens[self.pos][1]
+        return text
 
     def expect(self, text: str) -> None:
         if self.text != text:
@@ -436,13 +444,13 @@ class _Parser:
         self.advance()
 
     def expect_ident(self, what: str) -> str:
-        if self.kind != "ident":
+        if self.tokens[self.pos][0] != "ident":
             self.fail(what)
         return self.advance()
 
     def parse(self) -> Expr:
         e = self.expr()
-        if self.kind != "eof":
+        if self.text:
             self.fail("end of input")
         return e
 
@@ -474,7 +482,7 @@ class _Parser:
             self.depth -= 1
             highest = _PREC_NOT - 1
         else:
-            e = self.unary()
+            e = self.operand()
         while True:
             row = _BINARY.get(self.text)
             if row is None or not lowest <= row.prec <= highest:
@@ -482,63 +490,62 @@ class _Parser:
             e = row.node(self.operator(), e, self.binary(row.prec + 1))
             highest = row.prec - 1 if row.node is Compare else row.prec
 
-    def unary(self) -> Expr:
-        if self.text == "-":
-            self.operator()
-            self.nest()
-            operand = self.unary()
-            self.depth -= 1
-            if isinstance(operand, Num):
-                return Num(-operand.value)
-            return Arith("-", Num(0.0), operand)
-        return self.primary()
-
-    def leaf(self, key: tuple, make, *args) -> Expr:
-        """Consume the current token and return its leaf, `make(*args)`
-        when `leaves` has no node under `key` yet."""
-        node = self.leaves.get(key)
-        if node is None:
-            node = self.leaves[key] = make(*args)
-        self.advance()
-        return node
-
-    def number(self, text: str) -> Num:
-        value = float(text)
-        if not math.isfinite(value):
-            self.error("number out of range")
-        return Num(value)
-
-    def primary(self) -> Expr:
-        kind, text = self.kind, self.text
+    def operand(self) -> Expr:
+        """A unary minus and its operand, or a primary.  A leaf is made
+        once per key of `leaves` and consumed here without a call."""
+        pos = self.pos
+        token = self.tokens[pos]
+        kind, text = token[0], token[1]
         if kind == "ref":
-            _, _, _, prop, attr, offset = self.tokens[self.pos]
+            _, _, _, prop, attr, offset = token
             if attr not in REF_ATTRS:
                 self.error(
                     f"unknown property accessor {attr!r} (expected one of {', '.join(REF_ATTRS)})",
                     offset,
                 )
-            return self.leaf((PropRef, prop, attr), PropRef, prop, attr)
-        if kind == "number":
-            return self.leaf((Num, text), self.number, text)
-        if kind == "string":
-            self.advance()
-            return Text(_unescape(text))
-        if text == "(":
+            key = (PropRef, prop, attr)
+        elif kind == "number":
+            key = (Num, text)
+        elif kind == "ident" and text not in _KEYWORDS:
+            if self.tokens[pos + 1][1] == "(":
+                self.error(f"unknown function {text!r}")
+            key = (ParamRef, text)
+        elif text == "(":
             self.advance()
             e = self.expr()
             self.expect(")")
             return e
-        if kind == "ident":
-            if text == "self":
-                return self.propref()
-            if text in AGGREGATES:
-                return self.aggregate()
-            if text in _KEYWORDS:
-                self.fail("an expression")
-            if self.tokens[self.pos + 1][1] == "(":
-                self.error(f"unknown function {text!r}")
-            return self.leaf((ParamRef, text), ParamRef, text)
-        self.fail("an expression")
+        elif text == "-":
+            self.operator()
+            self.nest()
+            e = self.operand()
+            self.depth -= 1
+            return Num(-e.value) if type(e) is Num else Arith("-", Num(0.0), e)
+        elif kind == "string":
+            self.advance()
+            return Text(_unescape(text))
+        elif text == "self":
+            return self.propref()
+        elif text in AGGREGATES:
+            return self.aggregate()
+        else:
+            self.fail("an expression")
+        node = self.leaves.get(key)
+        if node is None:
+            node = self.leaves[key] = self.leaf(key)
+        self.pos = pos + 1
+        self.text = self.tokens[pos + 1][1]
+        return node
+
+    def leaf(self, key: tuple) -> Expr:
+        """The node of a leaf key: its type, then its fields' values, or
+        for a number its literal text."""
+        if key[0] is not Num:
+            return key[0](*key[1:])
+        value = float(key[1])
+        if not math.isfinite(value):
+            self.error("number out of range")
+        return Num(value)
 
     def propref(self) -> NoReturn:
         """A `self` that starts no "ref" token: the first of its parts that
@@ -566,6 +573,8 @@ def parse(source: str, leaves: dict | None = None) -> Expr:
     Trees parsed with the same `leaves` dict share one node per distinct
     number literal text, property reference and parameter; the dict's
     keys are tuples, so it may also hold other keys, such as source texts."""
+    if not isinstance(source, str):
+        raise TypeError(f"parse takes a str, not {type(source).__name__}")
     return _Parser(source, {} if leaves is None else leaves).parse()
 
 

@@ -51,6 +51,7 @@ from .network import (
 )
 
 FORMAT = "oodn/1"
+_NULL = type(None)  # in the types `_get` takes: the field may be null
 
 
 class LoadError(OodnError):
@@ -62,37 +63,43 @@ class LoadError(OodnError):
 
 
 def _expect(value, type_, path: str, what: str):
-    if not isinstance(value, type_) or isinstance(value, bool):
+    if not isinstance(value, type_) or type(value) is bool:
         raise LoadError(f"expected {what}", path)
     return value
 
 
 def _get(obj: dict, key: str, type_, path: str, what: str, default=_expect):
+    """`obj[key]` as `_expect` checks it, or `default` if given where `key`
+    is missing.  The error path `path.key` is built only when raising."""
     if key not in obj:
         if default is not _expect:
             return default
         raise LoadError(f"missing required key {key!r}", path)
-    return _expect(obj[key], type_, f"{path}.{key}", what)
+    value = obj[key]
+    if not isinstance(value, type_) or type(value) is bool:
+        raise LoadError(f"expected {what}", f"{path}.{key}")
+    return value
 
 
-def _parse_expr(text: str, path: str, trees: dict):
-    """The tree of `text`, parsed once per load: `trees` maps each source
-    parsed so far in this `load_text` call to its tree, and is also the
-    `parse` leaf table, whose keys are tuples.  Trees are frozen, so
-    members with the same source share one, and trees share leaves."""
+def _parse_expr(text: str, path: str, key: str, trees: dict):
+    """The tree of `text` at `path.key`, parsed once per load: `trees`
+    maps each source parsed so far in this `load_text` call to its tree,
+    and is also the `parse` leaf table, whose keys are tuples.  Trees are
+    frozen, so members with the same source share one, and trees share leaves."""
     tree = trees.get(text)
     if tree is None:
         try:
             tree = trees[text] = parse(text, trees)
         except ExprError as exc:
-            raise LoadError(f"bad expression: {exc}", path) from exc
+            raise LoadError(f"bad expression: {exc}", f"{path}.{key}") from exc
     return tree
 
 
 def _wrap(path: str, fn, *args):
+    """`fn(*args)`, each failed check in it (a sort check too) a `LoadError` at `path`."""
     try:
         return fn(*args)
-    except (ModelError, ModifierError, NetworkError) as exc:
+    except (ModelError, ModifierError, NetworkError, ExprError) as exc:
         raise LoadError(str(exc), path) from exc
 
 
@@ -110,19 +117,14 @@ def _load_property(doc, path: str, trees: dict):
             raise LoadError("expected a number, a list of numbers, or null", f"{path}.value")
         if isinstance(value, list):
             for i, v in enumerate(value):
-                _expect(v, (int, float), f"{path}.value[{i}]", "a number")
+                if type(v) is not float and type(v) is not int:
+                    raise LoadError("expected a number", f"{path}.value[{i}]")
         return _wrap(path, QuantitativeProperty, name, units, value)
     if kind == "qualitative":
-        verification = doc.get("verification")
+        verification = _get(doc, "verification", (str, _NULL), path, "a string", None)
         if verification is not None:
-            verification = _parse_expr(
-                _expect(verification, str, f"{path}.verification", "a string"),
-                f"{path}.verification",
-                trees,
-            )
-        degree = doc.get("degree")
-        if degree is not None:
-            _expect(degree, (int, float), f"{path}.degree", "a number")
+            verification = _parse_expr(verification, path, "verification", trees)
+        degree = _get(doc, "degree", (int, float, _NULL), path, "a number", None)
         return _wrap(path, QualitativeProperty, name, verification, degree)
     raise LoadError(f"unknown property kind {kind!r}", f"{path}.kind")
 
@@ -132,10 +134,11 @@ def _load_method(doc, path: str, trees: dict):
     name = _get(doc, "name", str, path, "a string")
     params = _get(doc, "parameters", list, path, "a list of strings", default=[])
     for i, p in enumerate(params):
-        _expect(p, str, f"{path}.parameters[{i}]", "a string")
-    body = doc.get("body")
+        if type(p) is not str:
+            raise LoadError("expected a string", f"{path}.parameters[{i}]")
+    body = _get(doc, "body", (str, _NULL), path, "a string", None)
     if body is not None:
-        body = _parse_expr(_expect(body, str, f"{path}.body", "a string"), f"{path}.body", trees)
+        body = _parse_expr(body, path, "body", trees)
     return _wrap(path, Method, name, tuple(params), body)
 
 
@@ -160,13 +163,10 @@ def _load_members(doc, path: str, trees: dict):
 def _load_class(doc, path: str, trees: dict) -> ClassDef:
     _expect(doc, dict, path, "a class object")
     name = _get(doc, "name", str, path, "a string")
-    core_doc = doc.get("core")
+    core_doc = _get(doc, "core", (dict, _NULL), path, "an object", None)
     core = None
     if core_doc is not None:
-        spec, sig = _load_members(
-            _expect(core_doc, dict, f"{path}.core", "an object"), f"{path}.core", trees
-        )
-        core = Core(spec, sig)
+        core = Core(*_load_members(core_doc, f"{path}.core", trees))
     projections = []
     for i, pr in enumerate(_get(doc, "projections", list, path, "a list", default=[])):
         pr_path = f"{path}.projections[{i}]"
@@ -358,7 +358,7 @@ _STRING = (
 _VALUE = (_load_set_value, lambda value, texts: _value_to_json(value))
 _EXPRESSION = (
     lambda doc, key, path, trees: _parse_expr(
-        _get(doc, key, str, path, "a string"), f"{path}.{key}", trees
+        _get(doc, key, str, path, "a string"), path, key, trees
     ),
     _print_expr,
 )

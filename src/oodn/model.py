@@ -42,6 +42,8 @@ class ModelError(OodnError):
 
 
 def _coerce_number(v) -> float:
+    if type(v) is float and math.isfinite(v):
+        return v
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise ModelError(f"expected a number, got {v!r}")
     try:

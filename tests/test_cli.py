@@ -89,6 +89,17 @@ class TestValidate:
             err = capsys.readouterr().err
             assert err == "error: $: class and object share the name 'X'\n"
 
+    def test_ill_sorted_verification(self, tmp_path, capsys):
+        q = {"name": "q", "kind": "qualitative", "verification": '"a" + 1 > 0'}
+        doc = {"format": "oodn/1", "classes": [{"name": "T", "core": {"properties": [q]}}]}
+        path = tmp_path / "ill.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: $.classes[0].core.properties[0]: arithmetic '+' needs numeric operands\n"
+        )
+
     def test_deep_nesting(self, tmp_path, capsys):
         source = "all_equal(self.side_sizes.values)"
         deep = "(" * 3000 + source + ")" * 3000

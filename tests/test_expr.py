@@ -227,6 +227,14 @@ class TestParseRobustness:
     def test_grammar_characters(self, source):
         self._check(source)
 
+    @pytest.mark.parametrize(
+        "source, name", [(3, "int"), (None, "NoneType"), (b"x", "bytes"), (["x"], "list")]
+    )
+    def test_non_str_is_a_type_error(self, source, name):
+        with pytest.raises(TypeError) as exc:
+            parse(source)
+        assert str(exc.value) == f"parse takes a str, not {name}"
+
 
 class TestNum:
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])

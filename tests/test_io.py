@@ -124,6 +124,23 @@ class TestLoad:
             load_text(bad)
         assert "$.classes[0].core.properties[0].verification" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ('"a" + 1 > 0', "arithmetic '+' needs numeric operands"),
+            ('"a" < "b"', "ordering '<' is not defined for text"),
+            ("sum(x) > 0", "sum expects a list of numbers"),
+            ("if 2 then 1 else 0", "connective operand must be a degree in [0, 1]"),
+        ],
+    )
+    def test_ill_sorted_verification_has_path(self, source, message):
+        q = {"name": "q", "kind": "qualitative", "verification": source}
+        p = {"name": "p", "kind": "quantitative", "units": "cm"}
+        with pytest.raises(LoadError) as exc:
+            load_text(doc(classes=[{"name": "t", "core": {"properties": [p, q]}}]))
+        assert exc.value.path == "$.classes[0].core.properties[1]"
+        assert str(exc.value) == f"$.classes[0].core.properties[1]: {message}"
+
     def test_class_and_object_share_a_name(self):
         p = {"name": "p", "kind": "quantitative", "units": "cm"}
         text = doc(
