@@ -113,7 +113,7 @@ def _load_property(doc, path: str, trees: dict):
     if kind == "quantitative":
         units = _get(doc, "units", str, path, "a string")
         value = doc.get("value")
-        if value is not None and not isinstance(value, (int, float, list)):
+        if value is not None and type(value) not in (int, float, list):
             raise LoadError("expected a number, a list of numbers, or null", f"{path}.value")
         if isinstance(value, list):
             for i, v in enumerate(value):

@@ -293,6 +293,7 @@ def infer_relations(n: Network, threshold: float = 1.0) -> tuple:
     are bucketed by the member's cached key and matched by `==` inside a
     bucket, since key-equal members may differ in value.  A proper subset
     is smaller, so only pairs of different sizes reach `subsumes`."""
+    check_threshold(threshold)
     homogeneous = [t for t in n.classes if t.is_homogeneous]
     refs = [class_ref(t) for t in homogeneous]
     sizes = [len(t.core.member_keys) for t in homogeneous]
@@ -303,8 +304,6 @@ def infer_relations(n: Network, threshold: float = 1.0) -> tuple:
             if sizes[i] < sizes[j] and subsumes(general, specific):
                 below[i] |= 1 << j
                 edges.append(Relation(refs[j], refs[i], "a-kind-of", "inferred"))
-    if n.objects and homogeneous:
-        check_threshold(threshold)
     members, buckets, rows = [], {}, []
     for t in homogeneous:
         row = []
@@ -345,10 +344,7 @@ def infer_relations(n: Network, threshold: float = 1.0) -> tuple:
 
 
 def with_inferred(n: Network, threshold: float = 1.0) -> Network:
-    """`n` plus its inferred relations.  Unlike `infer_relations`, which
-    tests `threshold` only where an object meets a class, this rejects a
-    threshold outside (0, 1] on every network."""
-    check_threshold(threshold)
+    """`n` plus its inferred relations."""
     return _grow(n, relations=infer_relations(n, threshold))
 
 

@@ -342,6 +342,36 @@ class TestExportDot:
         check_dot(out_path.read_text())
 
 
+class TestFailedOut:
+    """An `--out` that cannot be written exits 2 before anything reaches
+    stdout, with one error line naming the `--out` path, not the temp
+    file, and leaves no temp file behind."""
+
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["infer", "{file}"],
+            ["op", "{file}", "union", "T(R)", "T(S)"],
+            ["modify", "{file}", "M1(T(R))", "T(R)"],
+            ["export-dot", "{file}"],
+        ],
+        ids=["infer", "op", "modify", "export-dot"],
+    )
+    def test_exits_2_with_one_line_naming_the_path(
+        self, polygons_path, tmp_path, capsys, argv, target
+    ):
+        (tmp_path / "adir").mkdir()
+        out = str(tmp_path / ("nodir/x.json" if target == "missing-dir" else "adir"))
+        assert main([a.format(file=polygons_path) for a in argv] + ["--out", out]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(out) in err and ".tmp" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "polygons.oodn.json"]
+        assert not list((tmp_path / "adir").iterdir())
+
+
 class TestRejectedCommandLine:
     """A command line the argument parser rejects exits 2 with one
     `error:` line on stderr and no usage text.  Only the start of each

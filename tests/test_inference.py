@@ -255,8 +255,9 @@ class TestInferenceMatchesPairwise:
         n = Network(objects=(obj("o", qprop("p", value=1.0)),), classes=(cls("t", qprop("p")),))
         with pytest.raises(ModelError, match="threshold"):
             infer_relations(n, threshold)
-        # Without an object there is no satisfaction test to reject it.
-        assert infer_relations(dataclasses.replace(n, objects=()), threshold) == ()
+        # Rejected on every network, also where no object meets a class.
+        with pytest.raises(ModelError, match="threshold"):
+            infer_relations(dataclasses.replace(n, objects=()), threshold)
 
     def test_methods_in_the_table(self):
         n = Network(

@@ -93,6 +93,20 @@ class TestLoad:
             load_text(text)
         assert "$.objects[0].properties[0]" in str(exc.value)
 
+    @pytest.mark.parametrize("where", ["objects", "classes"])
+    def test_bool_value_rejected_at_the_value(self, where):
+        prop = {"name": "p", "kind": "quantitative", "units": "cm", "value": True}
+        node = {"properties": [prop], "methods": []}
+        if where == "objects":
+            text = doc(objects=[{"identifier": "o", **node}])
+            path = "$.objects[0].properties[0].value"
+        else:
+            text = doc(classes=[{"name": "T", "core": node}])
+            path = "$.classes[0].core.properties[0].value"
+        with pytest.raises(LoadError) as exc:
+            load_text(text)
+        assert str(exc.value) == f"{path}: expected a number, a list of numbers, or null"
+
     def test_degree_must_be_a_finite_number(self):
         prop = {"name": "q", "kind": "qualitative", "verification": None, "degree": 10**400}
         text = doc(objects=[{"identifier": "o", "properties": [prop], "methods": []}])

@@ -4,10 +4,13 @@ Seeded mutants of both fixtures, and of `polygons` after inference (for
 its relations), each change one thing: a field of the wrong type, a
 missing key, a bad expression or an ill-sorted one.  On each, both
 loaders must load networks that save to the same bytes, or raise the
-same exception type with the same message.  The one difference allowed,
-and asserted, is the ill-sorted verification: the reference lets its
+same exception type with the same message.  Two differences are allowed,
+and asserted.  On an ill-sorted verification the reference lets its
 `SortError` escape, and the engine raises a `LoadError` at the path of
-the property, the same message after the path.
+the property, the same message after the path.  On a bool property
+`value` the reference reports `expected a number, got True` at the
+property, and the engine reports it at the value with the message every
+other non-number gets.
 """
 
 from __future__ import annotations
@@ -83,6 +86,16 @@ def _outcome(load, text: str):
         return type(exc), str(exc)
 
 
+def _bool_value(reference, path) -> bool:
+    """Whether the reference failed on a bool property `value` at `path`."""
+    prop = _json_path(path[:-1])
+    return path[-1] == "value" and reference == (LoadError, f"{prop}: expected a number, got True")
+
+
+def _bool_value_error(path):
+    return LoadError, f"{_json_path(path)}: expected a number, a list of numbers, or null"
+
+
 @pytest.mark.parametrize("kind", ["wrong", "missing", "bad", "ill-sorted"])
 @pytest.mark.parametrize("name", sorted(_DOCUMENTS))
 def test_loaders_agree(name, kind):
@@ -97,6 +110,8 @@ def test_loaders_agree(name, kind):
             prop = _json_path(path[:-1])
             assert engine == (LoadError, f"{prop}: {reference[1]}"), text
             seen["sort"] += 1
+        elif _bool_value(reference, path):
+            assert engine == _bool_value_error(path), text
         else:
             assert engine == reference, text
             seen["saved" if engine[0] == "saved" else "error"] += 1
@@ -105,3 +120,24 @@ def test_loaders_agree(name, kind):
         assert seen["sort"] > 0
     else:
         assert seen["sort"] == 0
+
+
+@pytest.mark.parametrize("name", sorted(_DOCUMENTS))
+def test_bool_property_value(name):
+    """Every property `value` of the document set to `true` in turn: the
+    second allowed difference, on every path where it can occur."""
+    doc = json.loads(_DOCUMENTS[name])
+    seen = 0
+    for path in (p for p in _paths(doc) if p[-1] == "value"):
+        mutant = copy.deepcopy(doc)
+        parent = mutant
+        for key in path[:-1]:
+            parent = parent[key]
+        if parent.get("kind") != "quantitative":  # an edit's value
+            continue
+        parent["value"] = True
+        text = json.dumps(mutant)
+        assert _bool_value(_outcome(reference_loader.load_text, text), path), text
+        assert _outcome(load_text, text) == _bool_value_error(path), text
+        seen += 1
+    assert seen > 0
