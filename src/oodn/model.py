@@ -387,15 +387,42 @@ def objects_similar(a: ObjectInstance, b: ObjectInstance) -> bool:
 # --- satisfaction and subsumption -------------------------------------------
 
 
+def structure(part) -> frozenset:
+    """What an object offers, or what a core requires, that one set test
+    decides: each quantitative property as (name, units), and each
+    method as (name, arity); a str is never an int, so the two never
+    meet.  Built per call and not cached: an object member's `key` is
+    not filled in here, since most are never read again."""
+    return frozenset(
+        [(p.name, p.units) for p in part.specification if isinstance(p, QuantitativeProperty)]
+        + [(m.name, len(m.parameters)) for m in part.signature]
+    )
+
+
+def requirements(core: Core) -> tuple[frozenset, tuple]:
+    """`core` split in two: its `structure`, and the members that an
+    object meeting that structure still has to be scored on, in scoring
+    order: the methods that have a body, then the qualitative
+    properties, each group in member order."""
+    return structure(core), (
+        *[m for m in core.signature if m.body is not None],
+        *[p for p in core.specification if isinstance(p, QualitativeProperty)],
+    )
+
+
 def satisfies(o: ObjectInstance, t: ClassDef, threshold: float = 1.0) -> float:
-    """Degree to which object `o` meets class `t`'s requirements: the
-    minimum over per-member scores.  Callers compare the result against
+    """Degree to which object `o` meets class `t`'s requirements: 0 when
+    `o` lacks part of the class's structure, else the minimum over the
+    scores of the remaining members.  Callers compare the result against
     `threshold` for a crisp instance-of decision."""
     core = require_homogeneous(t, "satisfies")
     check_threshold(threshold)
+    required, scored = requirements(core)
+    if not required <= structure(o):
+        return 0.0
     ctx = EvalContext(subject=o)
     score = 1.0
-    for m in (*core.specification, *core.signature):
+    for m in scored:
         score = min(score, member_score(o, m, ctx))
         if score == 0.0:
             return 0.0
@@ -403,25 +430,22 @@ def satisfies(o: ObjectInstance, t: ClassDef, threshold: float = 1.0) -> float:
 
 
 def check_threshold(threshold: float) -> None:
-    if not 0.0 < threshold <= 1.0:
-        raise ModelError(f"threshold must lie in (0, 1], got {threshold}")
+    if (
+        isinstance(threshold, bool)
+        or not isinstance(threshold, numbers.Real)
+        or not 0.0 < threshold <= 1.0
+    ):
+        raise ModelError(f"threshold must lie in (0, 1], got {threshold!r}")
 
 
 def member_score(o: ObjectInstance, m: Member, ctx: EvalContext) -> float:
-    """Degree to which `o` meets one class member; depends only on `o` and
-    the member's value.  `ctx` is `EvalContext(subject=o)`, built once per
-    object by the caller."""
+    """Degree to which `o` meets one scored member of a class (see
+    `requirements`); `o` meets the class's structure.  Depends only on
+    `o` and the member's value.  `ctx` is `EvalContext(subject=o)`, built
+    once per object by the caller."""
     if isinstance(m, Method):
-        own = o.signature.get(m.name)
-        if own is None or own.arity != m.arity:
-            return 0.0
-        # An abstract requirement is met by name + arity alone.
-        return 1.0 if m.body is None or own.key == m.key else 0.0
-    if isinstance(m, QuantitativeProperty):
-        own = o.find_property(m.name)
-        if isinstance(own, QuantitativeProperty) and own.units == m.units:
-            return 1.0
-        return 0.0
+        # The structural test found a method of this name and arity.
+        return 1.0 if o.signature.get(m.name).key == m.key else 0.0
     if m.verification is not None:
         try:
             result = evaluate(m.verification, ctx)

@@ -33,7 +33,9 @@ from .model import (
     class_state_equal,
     member_score,
     object_state_equal,
+    requirements,
     satisfies,  # noqa: F401 - perfbench/spans.py traces oodn.network.satisfies
+    structure,
     subsumes,
 )
 from .modifiers import CLASS, OBJECT, Modifier, apply_to_class, apply_to_object
@@ -287,12 +289,15 @@ def infer_relations(n: Network, threshold: float = 1.0) -> tuple:
     in an object's `mask` of satisfied classes is most specific exactly
     when `below[i] & mask == 0` (Ait-Kaci et al., TOPLAS 1989).
 
-    Equal class members share one slot, scored at most once per object,
-    so the result equals `satisfies(o, t, threshold) >= threshold` per
-    pair without re-evaluating a member that several classes list.  Slots
-    are bucketed by the member's cached key and matched by `==` inside a
-    bucket, since key-equal members may differ in value.  A proper subset
-    is smaller, so only pairs of different sizes reach `subsumes`."""
+    An object meets class i only when its `structure` contains the
+    class's, one set test per pair; only then are the class's scored
+    members read (see `model.requirements`).  Equal scored members share
+    one slot, scored at most once per object, so the result equals
+    `satisfies(o, t, threshold) >= threshold` per pair without
+    re-evaluating a member that several classes list.  Slots are bucketed
+    by the member's cached key and matched by `==` inside a bucket, since
+    key-equal members may differ in value.  A proper subset is smaller,
+    so only pairs of different sizes reach `subsumes`."""
     check_threshold(threshold)
     homogeneous = [t for t in n.classes if t.is_homogeneous]
     refs = [class_ref(t) for t in homogeneous]
@@ -306,8 +311,9 @@ def infer_relations(n: Network, threshold: float = 1.0) -> tuple:
                 edges.append(Relation(refs[j], refs[i], "a-kind-of", "inferred"))
     members, buckets, rows = [], {}, []
     for t in homogeneous:
+        required, scored = requirements(t.core)
         row = []
-        for m in (*t.core.specification, *t.core.signature):
+        for m in scored:
             bucket = buckets.setdefault(m.key, [])
             for s in bucket:
                 if members[s] == m:
@@ -317,12 +323,15 @@ def infer_relations(n: Network, threshold: float = 1.0) -> tuple:
                 members.append(m)
                 bucket.append(s)
             row.append(s)
-        rows.append(row)
+        rows.append((required, row))
     for o in n.objects:
+        offered = structure(o)
         ctx = EvalContext(subject=o)
         scores = [None] * len(members)
         satisfied, mask = [], 0
-        for i, row in enumerate(rows):
+        for i, (required, row) in enumerate(rows):
+            if not required <= offered:
+                continue
             score = 1.0
             for s in row:
                 v = scores[s]

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import pytest
 
@@ -340,6 +342,42 @@ class TestExportDot:
         out_path = tmp_path / "graph.dot"
         assert main(["export-dot", polygons_path, "--out", str(out_path)]) == 0
         check_dot(out_path.read_text())
+
+
+class TestOutMode:
+    """An `--out` file gets the mode a plain write gives: 0o666 less the
+    umask for a new file, and the old mode for a file it replaces."""
+
+    @pytest.fixture(autouse=True)
+    def umask(self):
+        old = os.umask(0o027)
+        yield
+        os.umask(old)
+
+    @staticmethod
+    def mode(path):
+        return stat.S_IMODE(path.stat().st_mode)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["infer", "{file}"], ["op", "{file}", "union", "T(R)", "T(S)"], ["export-dot", "{file}"]],
+        ids=["infer", "op", "export-dot"],
+    )
+    def test_new_target(self, polygons_path, tmp_path, argv):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("x")
+        out = tmp_path / "new.out"
+        assert main([a.format(file=polygons_path) for a in argv] + ["--out", str(out)]) == 0
+        assert self.mode(out) == self.mode(plain) == 0o640
+
+    def test_existing_target_keeps_its_mode(self, polygons_path, tmp_path):
+        out = tmp_path / "old.oodn.json"
+        out.write_text("{}")
+        out.chmod(0o604)
+        assert main(["infer", polygons_path, "--out", str(out)]) == 0
+        assert self.mode(out) == 0o604
+        assert out.read_text() != "{}"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.oodn.json", "polygons.oodn.json"]
 
 
 class TestFailedOut:

@@ -18,8 +18,9 @@ To fit in a few seconds, both sides build their argument parser and
 load each input document once per test instead of once per call: both
 are most of the cost of a call, a parser keeps no state from one parse
 to the next, networks are immutable values, and no input document
-changes during a test.  `op` and `modify` write `--out` on the calls
-without `--json`.
+changes during a test.  `cli` builds its parser once per process
+itself, so only the reference side's parser is wrapped here.  `op` and
+`modify` write `--out` on the calls without `--json`.
 """
 
 from __future__ import annotations
@@ -55,8 +56,10 @@ _QUERY_OPTIONS = (
 
 @pytest.fixture()
 def paths(tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        reference_cli, "_build_parser", functools.cache(reference_cli._build_parser)
+    )
     for module in (cli, reference_cli):
-        monkeypatch.setattr(module, "_build_parser", functools.cache(module._build_parser))
         monkeypatch.setattr(module, "load_file", functools.cache(module.load_file))
     paths = {"out": str(tmp_path / "out.oodn.json")}
     for name, text in _DOCUMENTS.items():

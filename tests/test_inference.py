@@ -259,6 +259,13 @@ class TestInferenceMatchesPairwise:
         with pytest.raises(ModelError, match="threshold"):
             infer_relations(dataclasses.replace(n, objects=()), threshold)
 
+    @pytest.mark.parametrize("threshold", ["a", None, True], ids=["str", "none", "bool"])
+    def test_threshold_that_is_not_a_number(self, threshold):
+        n = Network(objects=(obj("o", qprop("p", value=1.0)),), classes=(cls("t", qprop("p")),))
+        for fn in (infer_relations, with_inferred):
+            with pytest.raises(ModelError, match=r"threshold must lie in \(0, 1\], got "):
+                fn(n, threshold)
+
     def test_methods_in_the_table(self):
         n = Network(
             objects=(obj("o", meth("f", ("a",), "a * 2")), obj("u", meth("f", ("y",)))),

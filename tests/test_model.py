@@ -228,6 +228,12 @@ class TestSatisfies:
         with pytest.raises(ModelError):
             satisfies(obj("o", qprop("p", value=1)), t, threshold=0.0)
 
+    @pytest.mark.parametrize("threshold", ["a", None, True], ids=["str", "none", "bool"])
+    def test_threshold_that_is_not_a_number(self, threshold):
+        t = cls("t", qprop("p"))
+        with pytest.raises(ModelError, match=r"threshold must lie in \(0, 1\], got "):
+            satisfies(obj("o", qprop("p", value=1)), t, threshold=threshold)
+
     def test_inhomogeneous_rejected(self):
         mixed = ClassDef("t", None, (Projection("a", Specification((qprop("p"),))),))
         with pytest.raises(ModelError):
