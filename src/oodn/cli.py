@@ -9,14 +9,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
-import stat
 import sys
-import tempfile
-from pathlib import Path
 
 from .errors import OodnError
-from .io import export_dot, load_file, save_text
+from .io import export_dot, load_file, save_text, write_atomic
 from .model import ClassDef, ObjectInstance, QuantitativeProperty
 from .network import (
     Network,
@@ -36,43 +32,6 @@ from .network import (
 EXIT_OK = 0
 EXIT_ABSENT = 1
 EXIT_ERROR = 2
-
-
-def _umask() -> int:
-    """The process umask.  Reading it means setting it, so it is set
-    back at once."""
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
-def _write_atomic(path: str, text: str) -> None:
-    """Write `text` to `path` through a temp file beside it.  The file
-    gets the mode a plain write would give: the old file's mode when it
-    replaces one, else 0o666 less the umask.  A failure names `path`, the
-    file the user asked for, and removes the temp file."""
-    target = Path(path)
-    try:
-        try:
-            mode = stat.S_IMODE(os.stat(target).st_mode)
-        except FileNotFoundError:
-            mode = 0o666 & ~_umask()
-        fd, tmp = tempfile.mkstemp(
-            dir=str(target.parent) or ".", prefix=f".{target.name}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            os.chmod(tmp, mode)
-            os.replace(tmp, str(target))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def _resolve_name(n: Network, text: str) -> NodeRef:
@@ -125,7 +84,7 @@ def _relation_line(r) -> str:
 
 def _maybe_out(args, n: Network) -> None:
     if args.out:
-        _write_atomic(args.out, save_text(n))
+        write_atomic(args.out, save_text(n))
 
 
 # --- commands ----------------------------------------------------------------
@@ -225,7 +184,7 @@ def _cmd_query(n: Network, args):
 def _cmd_export_dot(n: Network, args):
     text = export_dot(n)
     if args.out:
-        _write_atomic(args.out, text)
+        write_atomic(args.out, text)
         return EXIT_OK, None, []
     return EXIT_OK, None, text[:-1].split("\n")  # the DOT text ends in one newline
 

@@ -8,8 +8,11 @@ produce identical bytes.  Schema reference: docs/format.md.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+import os
+import stat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -515,8 +518,38 @@ def save_text(n: Network) -> str:
     return _dumps(doc) + "\n"
 
 
+def write_atomic(path, text: str) -> None:
+    """Write `text` to `path` through a temp file beside it, so that a
+    failure leaves any old file whole.  A new file gets 0o666 less the
+    umask, which the kernel applies; a replaced file keeps its mode, and
+    a symlink at `path` is replaced by a regular file.  A failure removes
+    the temp file and raises an `OSError` that names `path`."""
+    target = os.fspath(path)
+    head, name = os.path.split(target)
+    tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
+    try:
+        try:
+            mode = stat.S_IMODE(os.stat(target).st_mode)
+        except FileNotFoundError:
+            mode = None
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            if mode is not None:
+                os.chmod(tmp, mode)
+            os.replace(tmp, target)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, target) from exc
+
+
 def save_file(n: Network, path) -> None:
-    Path(path).write_text(save_text(n), encoding="utf-8")
+    """`save_text(n)` written to `path` by `write_atomic`."""
+    write_atomic(path, save_text(n))
 
 
 # --- DOT export --------------------------------------------------------------

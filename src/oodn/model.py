@@ -335,21 +335,15 @@ class ClassDef:
             raise ModelError(f"class {self.name!r}: core and projections both empty")
         if self.core is not None and len(self.core) == 0 and not self.projections:
             raise ModelError(f"class {self.name!r}: empty core without projections")
-        core_props = set(self.core.specification.names) if self.core else set()
-        core_methods = set(self.core.signature.names) if self.core else set()
         for pr in self.projections:
-            clash = core_props & set(pr.specification.names)
-            if clash:
-                raise ModelError(
-                    f"class {self.name!r}: properties {sorted(clash)} appear in both "
-                    f"core and projection {pr.source_label!r}"
-                )
-            clash = core_methods & set(pr.signature.names)
-            if clash:
-                raise ModelError(
-                    f"class {self.name!r}: methods {sorted(clash)} appear in both "
-                    f"core and projection {pr.source_label!r}"
-                )
+            for what, part in (("properties", "specification"), ("methods", "signature")):
+                core_names = getattr(self.core, part).names if self.core else ()
+                clash = set(core_names).intersection(getattr(pr, part).names)
+                if clash:
+                    raise ModelError(
+                        f"class {self.name!r}: {what} {sorted(clash)} appear in both "
+                        f"core and projection {pr.source_label!r}"
+                    )
 
     @property
     def is_homogeneous(self) -> bool:

@@ -252,7 +252,7 @@ def classify(m: Modifier, target) -> frozenset:
     return frozenset(kinds)
 
 
-def compose(first: Modifier, second: Modifier, name: str | None = None) -> Modifier:
+def compose(first: Modifier, second: Modifier) -> Modifier:
     """Concatenate edit lists; application runs `first` then `second`."""
     if first.target_kind != second.target_kind:
         raise ModifierError(
@@ -260,7 +260,7 @@ def compose(first: Modifier, second: Modifier, name: str | None = None) -> Modif
             "mixed target kinds"
         )
     return Modifier(
-        name=name or f"compose({first.name},{second.name})",
+        name=f"compose({first.name},{second.name})",
         target_kind=first.target_kind,
         edits=first.edits + second.edits,
     )

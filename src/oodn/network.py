@@ -222,8 +222,8 @@ class Network:
             raise NetworkError(f"relation endpoint does not resolve: {ref.display!r}")
 
 
-def empty_network(exploiters=EXPLOITER_NAMES) -> Network:
-    return Network(exploiters=exploiters)
+def empty_network() -> Network:
+    return Network()
 
 
 # --- growth ------------------------------------------------------------------

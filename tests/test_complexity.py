@@ -1,0 +1,113 @@
+"""Operation counts that pin how the engine's work grows with the network.
+
+Each count is read through a wrapper at a Python-level boundary, so it
+is exact and the same on every run and under any `PYTHONHASHSEED`, where
+wall time on a shared host is neither.  The network is the baseline of
+ROADMAP.md: C classes `T_i`, each holding quantitative properties
+`p0..p_{i mod 20}` in cm, and C objects `o_i` built the same way with
+value 1.0, at C = 20 and 80.  Each expected count is worked out from the
+networks and documents involved, never written down as a number.
+"""
+
+import json
+
+import pytest
+
+from oodn import NodeRef, Network, apply_exploiter, infer_relations, load_text, save_text
+from oodn import io, network
+from oodn.network import class_ref
+
+from .helpers import cls, meth, obj, qprop, qual
+
+SIZES = (20, 80)
+
+
+def baseline(size, extra=lambda i: ()):
+    """The baseline network with C = `size`; class `T_i` also holds the
+    members `extra(i)`."""
+    classes = tuple(
+        cls(f"T_{i}", *(qprop(f"p{k}") for k in range(i % 20 + 1)), *extra(i))
+        for i in range(size)
+    )
+    objects = tuple(
+        obj(f"o_{i}", *(qprop(f"p{k}", value=1.0) for k in range(i % 20 + 1)))
+        for i in range(size)
+    )
+    return Network(objects=objects, classes=classes)
+
+
+def counted(monkeypatch, owner, name) -> list:
+    """Replace `owner.name` with a wrapper that appends to the returned
+    list on each call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.fixture(scope="module", params=SIZES, ids=[f"C={c}" for c in SIZES])
+def size(request):
+    return request.param
+
+
+@pytest.fixture(scope="module")
+def inferred(size):
+    return network.with_inferred(baseline(size))
+
+
+def test_union_step_hashes_every_relation(inferred, monkeypatch):
+    """One union step is O(relations) today: the new snapshot's validator
+    hashes each of its triples once, and `_grow`'s present-triple filter
+    hashes each new triple twice more.  A triple's hash calls
+    `NodeRef.__hash__` for its source and its target."""
+    operands = [class_ref(inferred.classes[0]), class_ref(inferred.classes[1])]
+    calls = counted(monkeypatch, NodeRef, "__hash__")
+    grown, _, _ = apply_exploiter(inferred, "union", operands, dedup=False)
+    new = len(grown.relations) - len(inferred.relations)
+    assert new > 0
+    assert len(calls) == 2 * (len(grown.relations) + 2 * new)
+
+
+def _sources(value):
+    """The expression texts anywhere in a JSON document value."""
+    if isinstance(value, dict):
+        for key, v in value.items():
+            if key in ("verification", "body", "expression") and isinstance(v, str):
+                yield v
+            else:
+                yield from _sources(v)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _sources(v)
+
+
+def test_load_parses_each_distinct_source_once(size, monkeypatch):
+    text = save_text(
+        baseline(
+            size,
+            lambda i: (
+                qual("big", f"self.p0.value > {i % 7}"),
+                meth("scaled", ("k",), f"k * {i % 3}"),
+            ),
+        )
+    )
+    sources = list(_sources(json.loads(text)))
+    assert len(set(sources)) < len(sources)
+    calls = counted(monkeypatch, io, "parse")
+    load_text(text)
+    assert len(calls) == len(set(sources))
+
+
+def test_inference_tests_subsumption_only_across_core_sizes(size, monkeypatch):
+    """A proper subset is smaller, so `subsumes(general, specific)` runs
+    only where the general class's core is the smaller one."""
+    n = baseline(size)
+    calls = counted(monkeypatch, network, "subsumes")
+    infer_relations(n)
+    sizes = [len(t.core) for t in n.classes]
+    assert len(calls) == sum(g < s for g in sizes for s in sizes)

@@ -1,5 +1,10 @@
+import builtins
 import dataclasses
+import errno
+import io
 import json
+import os
+import stat
 import typing
 
 import pytest
@@ -308,6 +313,84 @@ class TestSave:
             else (),
         )
         assert networks_equivalent(n, load_text(save_text(n)))
+
+
+class _HalfWrite:
+    """A text file whose `write` writes half its text, then fails as a
+    full disk does."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+    def write(self, text):
+        self._handle.write(text[: len(text) // 2])
+        self._handle.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestSaveFile:
+    """`save_file` writes through a temp file beside the target: a new
+    file gets 0o666 less the umask, a replaced one keeps its mode, and a
+    failed write leaves the old file whole and no temp file."""
+
+    @pytest.fixture(autouse=True)
+    def umask(self):
+        old = os.umask(0o027)
+        yield
+        os.umask(old)
+
+    @staticmethod
+    def mode(path):
+        return stat.S_IMODE(path.lstat().st_mode)
+
+    def test_new_file(self, polygons, tmp_path):
+        path = tmp_path / "new.oodn.json"
+        save_file(polygons, path)
+        assert self.mode(path) == 0o666 & ~0o027
+        assert path.read_text(encoding="utf-8") == save_text(polygons)
+        assert [p.name for p in tmp_path.iterdir()] == ["new.oodn.json"]
+
+    def test_replaced_file_keeps_its_mode(self, polygons, tmp_path):
+        path = tmp_path / "old.oodn.json"
+        path.write_text("{}")
+        path.chmod(0o604)
+        save_file(polygons, str(path))
+        assert self.mode(path) == 0o604
+        assert path.read_text(encoding="utf-8") == save_text(polygons)
+        assert [p.name for p in tmp_path.iterdir()] == ["old.oodn.json"]
+
+    def test_symlink_is_replaced_by_a_regular_file(self, polygons, tmp_path):
+        pointee = tmp_path / "pointee.json"
+        pointee.write_text("{}")
+        link = tmp_path / "link.oodn.json"
+        link.symlink_to(pointee.name)
+        save_file(polygons, link)
+        assert not link.is_symlink()
+        assert link.read_text(encoding="utf-8") == save_text(polygons)
+        assert pointee.read_text() == "{}"
+
+    def test_failed_write_leaves_the_old_file(self, polygons, tmp_path, monkeypatch):
+        path = tmp_path / "old.oodn.json"
+        path.write_bytes(b"old bytes\n")
+        real_open = builtins.open
+
+        def half_open(*args, **kwargs):
+            return _HalfWrite(real_open(*args, **kwargs))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "open", half_open)
+            patch.setattr(io, "open", half_open)
+            with pytest.raises(OSError) as exc:
+                save_file(polygons, path)
+        assert path.read_bytes() == b"old bytes\n"
+        assert exc.value.errno == errno.ENOSPC and exc.value.filename == str(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["old.oodn.json"]
 
 
 class TestDot:

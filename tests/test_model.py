@@ -114,13 +114,44 @@ class TestValidation:
         with pytest.raises(ModelError):
             ClassDef("t")
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Method(""), "method name must be nonempty"),
+            (lambda: ClassDef("", cls("t", qprop("p")).core), "class name must be nonempty"),
+        ],
+        ids=["method", "class"],
+    )
+    def test_name_must_be_nonempty(self, make, message):
+        with pytest.raises(ModelError) as exc:
+            make()
+        assert type(exc.value) is ModelError and str(exc.value) == message
+
     def test_core_projection_name_clash(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError) as exc:
             ClassDef(
                 "t",
                 Core(Specification((qprop("p"),))),
                 (Projection("src", Specification((qprop("p", "kg"),))),),
             )
+        assert str(exc.value) == (
+            "class 't': properties ['p'] appear in both core and projection 'src'"
+        )
+        core = cls("t", qprop("p"), meth("f"), meth("g", ("x",))).core
+        with pytest.raises(ModelError) as exc:
+            ClassDef(
+                "t",
+                core,
+                (
+                    Projection("a", Specification((qprop("q"),))),
+                    Projection(
+                        "b", Specification((qprop("r"),)), Signature((meth("g"), meth("f")))
+                    ),
+                ),
+            )
+        assert str(exc.value) == (
+            "class 't': methods ['f', 'g'] appear in both core and projection 'b'"
+        )
 
     def test_homogeneous_flag(self):
         assert cls("t", qprop("p")).is_homogeneous

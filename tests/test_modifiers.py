@@ -33,6 +33,12 @@ class TestValidation:
         with pytest.raises(ModifierError):
             Modifier("m", "class", ())
 
+    def test_name_nonempty(self):
+        with pytest.raises(ModifierError) as exc:
+            Modifier("", "class", (SetValue("p", 1.0),))
+        assert type(exc.value) is ModifierError
+        assert str(exc.value) == "modifier name must be nonempty"
+
     def test_target_kind_checked(self):
         with pytest.raises(ModifierError):
             Modifier("m", "thing", (SetValue("p", 1.0),))

@@ -121,6 +121,12 @@ class TestTypedNodeIdentity:
 class TestRelationTriple:
     A, B = NodeRef("class", "a"), NodeRef("class", "b")
 
+    def test_unknown_provenance(self):
+        with pytest.raises(NetworkError) as exc:
+            Relation(self.B, self.A, "a-kind-of", "guessed")
+        assert type(exc.value) is NetworkError
+        assert str(exc.value) == "unknown provenance 'guessed'"
+
     def test_triple_is_source_target_kind(self):
         r = Relation(self.B, self.A, "a-kind-of", "inferred")
         assert r.triple == (self.B, self.A, "a-kind-of")
