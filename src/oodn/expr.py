@@ -644,29 +644,41 @@ def normalize(e: Expr) -> Expr:
     return _normalize(e)[0]
 
 
+def normal_form(e: Expr) -> tuple[Expr, bool]:
+    """`normalize(e)`, and whether it is `equal_up_to_order` to `e`: true
+    unless normalizing removed a double negation, folded an operator over
+    literals or pruned an `if`, each of which may change a value or an
+    error."""
+    node, _, reordered_only = _normalize(e)
+    return node, reordered_only
+
+
 def _normalize(e: Expr) -> tuple:
-    """`normalize(e)` and its order key, a fixed total order on subtrees:
-    variant tag, then payload, then the children's keys."""
+    """`normalize(e)`, its order key, a fixed total order on subtrees
+    (variant tag, then payload, then the children's keys), and whether
+    it differs from `e` only in operand order."""
     if isinstance(e, Num):
-        return e, (0, e.value)
+        return e, (0, e.value), True
     if isinstance(e, Text):
-        return e, (1, e.value)
+        return e, (1, e.value), True
     if isinstance(e, PropRef):
-        return e, (2, e.prop, e.attr)
+        return e, (2, e.prop, e.attr), True
     if isinstance(e, ParamRef):
-        return e, (3, e.name)
+        return e, (3, e.name), True
     if isinstance(e, Aggregate):
-        arg, arg_key = _normalize(e.arg)
-        return Aggregate(e.fn, arg), (8, e.fn, arg_key)
+        arg, arg_key, same = _normalize(e.arg)
+        return Aggregate(e.fn, arg), (8, e.fn, arg_key), same
     if isinstance(e, If):
         cond, then, orelse = map(_normalize, (e.condition, e.then, e.orelse))
         if isinstance(cond[0], Num):
-            return then if cond[0].value > 0 else orelse
-        return If(cond[0], then[0], orelse[0]), (9, cond[1], then[1], orelse[1])
+            kept = then if cond[0].value > 0 else orelse
+            return kept[0], kept[1], False
+        same = cond[2] and then[2] and orelse[2]
+        return If(cond[0], then[0], orelse[0]), (9, cond[1], then[1], orelse[1]), same
     if isinstance(e, Not):
-        operand, operand_key = _normalize(e.operand)
+        operand, operand_key, same = _normalize(e.operand)
         if isinstance(operand, Not):
-            return operand.operand, operand_key[1]
+            return operand.operand, operand_key[1], False
         e, key = Not(operand), (6, operand_key)
         literal = isinstance(operand, _LITERALS)
     elif isinstance(e, (Arith, Compare, Connective)):
@@ -676,21 +688,52 @@ def _normalize(e: Expr) -> tuple:
         e = type(e)(e.op, left[0], right[0])
         key = (_BINARY_TAGS[type(e)], e.op, left[1], right[1])
         literal = isinstance(left[0], _LITERALS) and isinstance(right[0], _LITERALS)
+        same = left[2] and right[2]
     else:
         raise TypeError(f"not an expression node: {e!r}")
     if literal:
         try:
             value = evaluate(e, _NO_CONTEXT)
         except EvalError:
-            return e, key
+            return e, key, same
         if math.isfinite(value):
-            return Num(value), (0, value)
-    return e, key
+            return Num(value), (0, value), False
+    return e, key, same
 
 
 def expr_equal(a: Expr, b: Expr) -> bool:
     """Structural equality of normal forms."""
     return normalize(a) == normalize(b)
+
+
+def equal_up_to_order(a: Expr, b: Expr) -> bool:
+    """`a` and `b` are the same tree once the operands of each commutative
+    operator of `_BINARY` are put in one order.  Such trees evaluate to
+    equal values for every subject and arguments, since IEEE `+` and `*`
+    commute exactly, `and` and `or` take the minimum and maximum of two
+    degrees (never NaN), and `==` and `!=` are symmetric.  Both evaluate
+    the same nodes, so they raise `EvalError` for the same contexts,
+    though the message may name a different failing operand.
+
+    Each pair of subtrees, one of `a` and one of `b`, is compared at most
+    once, since only its parent pair compares it."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, (Arith, Compare, Connective)):
+        return a.op == b.op and (
+            (equal_up_to_order(a.left, b.left) and equal_up_to_order(a.right, b.right))
+            or (
+                _BINARY[a.op].commutative
+                and equal_up_to_order(a.left, b.right)
+                and equal_up_to_order(a.right, b.left)
+            )
+        )
+    kids = children(a)
+    if not kids:
+        return a == b
+    return getattr(a, "fn", None) == getattr(b, "fn", None) and all(
+        map(equal_up_to_order, kids, children(b))
+    )
 
 
 # --- evaluation --------------------------------------------------------------

@@ -148,19 +148,22 @@ def _load_method(doc, path: str, trees: dict):
 def _load_members(doc, path: str, trees: dict):
     props = _get(doc, "properties", list, path, "a list", default=[])
     methods = _get(doc, "methods", list, path, "a list", default=[])
-    spec = _wrap(
-        f"{path}.properties",
-        Specification,
-        tuple(
-            _load_property(p, f"{path}.properties[{i}]", trees) for i, p in enumerate(props)
-        ),
-    )
-    sig = _wrap(
-        f"{path}.methods",
-        Signature,
-        tuple(_load_method(m, f"{path}.methods[{i}]", trees) for i, m in enumerate(methods)),
-    )
+    spec = _load_list(props, _load_property, Specification, path, "properties", trees)
+    sig = _load_list(methods, _load_method, Signature, path, "methods", trees)
     return spec, sig
+
+
+def _load_list(docs: list, load, make, path: str, key: str, trees: dict):
+    """`make` of the members `load` gives for `docs`, the list at
+    `path.key`.  Paths cost a string per member, so the list loads
+    without them first; if that fails, it loads again with them, and the
+    same check fails again, now at its path."""
+    try:
+        return _wrap(None, make, tuple([load(d, None, trees) for d in docs]))
+    except LoadError:
+        pass
+    path = f"{path}.{key}"
+    return _wrap(path, make, tuple([load(d, f"{path}[{i}]", trees) for i, d in enumerate(docs)]))
 
 
 def _load_class(doc, path: str, trees: dict) -> ClassDef:

@@ -31,6 +31,7 @@ from .expr import (
     evaluate,
     expr_equal,  # noqa: F401 - perfbench/spans.py traces oodn.model.expr_equal
     infer_sort,
+    normal_form,
     normalize,
     param_refs,
     print_expr,
@@ -92,6 +93,10 @@ class QuantitativeProperty:
     _key: tuple | None = _cache_field()
 
     def __post_init__(self):
+        if not isinstance(self.name, str) or not isinstance(self.units, str):
+            raise ModelError(
+                f"property name and units must be strings: {self.name!r}, {self.units!r}"
+            )
         if not self.name:
             raise ModelError("property name must be nonempty")
         if not self.units:
@@ -115,6 +120,7 @@ class QualitativeProperty:
     verification: Expr | None = None
     degree: float | None = None
     _key: tuple | None = _cache_field()
+    _reordered_only: bool | None = _cache_field()  # set with `_key`; see `score_key`
 
     def __post_init__(self):
         if not self.name:
@@ -138,9 +144,25 @@ class QualitativeProperty:
     def key(self) -> tuple:
         """Equivalence key; the stored degree is not part of it."""
         if self._key is None:
-            key = ("qual", self.name, _expr_key(self.verification))
+            normal, reordered_only = None, True
+            if self.verification is not None:
+                normal, reordered_only = normal_form(self.verification)
+            key = ("qual", self.name, None if normal is None else print_expr(normal))
+            object.__setattr__(self, "_reordered_only", reordered_only)
             object.__setattr__(self, "_key", key)
         return self._key
+
+    @property
+    def score_key(self):
+        """What decides this member's `member_score` for every object: the
+        key, when there is no verification (the object's own degree is
+        read by name) or the verification differs from its normal form
+        only in commutative operand order; else the member itself, since
+        double-negation elimination, constant folding and a pruned `if`
+        keep the key but may change the score (`not not x` is
+        `1 - (1 - x)`)."""
+        key = self.key
+        return key if self._reordered_only else self
 
 
 Property = Union[QuantitativeProperty, QualitativeProperty]
@@ -201,7 +223,15 @@ class Method:
     def __post_init__(self):
         if not self.name:
             raise ModelError("method name must be nonempty")
+        if isinstance(self.parameters, str):
+            raise ModelError(
+                f"method {self.name!r}: parameters must be a sequence of names, "
+                f"not the string {self.parameters!r}"
+            )
         object.__setattr__(self, "parameters", tuple(self.parameters))
+        for p in self.parameters:
+            if not isinstance(p, str):
+                raise ModelError(f"method {self.name!r}: parameter name {p!r} is not a string")
         if len(set(self.parameters)) != len(self.parameters):
             raise ModelError(f"method {self.name!r}: duplicate parameter names")
         if self.body is not None:
@@ -223,6 +253,9 @@ class Method:
             key = ("method", self.name, self.arity, _expr_key(self.body))
             object.__setattr__(self, "_key", key)
         return self._key
+
+    # A method's `member_score` compares keys, so its key decides it.
+    score_key = key
 
 
 @dataclass(frozen=True, slots=True)

@@ -309,34 +309,24 @@ def infer_relations(n: Network, threshold: float = 1.0) -> tuple:
             if sizes[i] < sizes[j] and subsumes(general, specific):
                 below[i] |= 1 << j
                 edges.append(Relation(refs[j], refs[i], "a-kind-of", "inferred"))
-    members, buckets, rows = [], {}, []
+    slots, rows = {}, []  # a member's `score_key` -> its slot
     for t in homogeneous:
         required, scored = requirements(t.core)
-        row = []
-        for m in scored:
-            bucket = buckets.setdefault(m.key, [])
-            for s in bucket:
-                if members[s] == m:
-                    break
-            else:
-                s = len(members)
-                members.append(m)
-                bucket.append(s)
-            row.append(s)
+        row = [(slots.setdefault(m.score_key, len(slots)), m) for m in scored]
         rows.append((required, row))
     for o in n.objects:
         offered = structure(o)
         ctx = EvalContext(subject=o)
-        scores = [None] * len(members)
+        scores = [None] * len(slots)
         satisfied, mask = [], 0
         for i, (required, row) in enumerate(rows):
             if not required <= offered:
                 continue
             score = 1.0
-            for s in row:
+            for s, m in row:
                 v = scores[s]
                 if v is None:
-                    v = scores[s] = member_score(o, members[s], ctx)
+                    v = scores[s] = member_score(o, m, ctx)
                 if v < score:
                     score = v
                     if score == 0.0:

@@ -14,7 +14,7 @@ import json
 import pytest
 
 from oodn import NodeRef, Network, apply_exploiter, infer_relations, load_text, save_text
-from oodn import io, network
+from oodn import io, model, network
 from oodn.network import class_ref
 
 from .helpers import cls, meth, obj, qprop, qual
@@ -111,3 +111,23 @@ def test_inference_tests_subsumption_only_across_core_sizes(size, monkeypatch):
     infer_relations(n)
     sizes = [len(t.core) for t in n.classes]
     assert len(calls) == sum(g < s for g in sizes for s in sizes)
+
+
+def test_inference_scores_each_key_once_per_object(size, monkeypatch):
+    """Every class also holds one verification, spelled `self.p0.value + 1
+    > 1` in even classes and with the operands of `+` swapped in odd ones.
+    The spellings score alike, so `member_score` runs once per (object,
+    key) pair that the structural test reaches; each score is 1, so no
+    pair is cut short."""
+    spellings = ("self.p0.value + 1 > 1", "1 + self.p0.value > 1")
+    n = baseline(size, lambda i: (qual("big", spellings[i % 2]),))
+    reached = set()
+    for t in n.classes:
+        required, scored = model.requirements(t.core)
+        for o in n.objects:
+            if required <= model.structure(o):
+                reached.update((o.node_name, m.key) for m in scored)
+    assert len({key for _, key in reached}) == 1
+    calls = counted(monkeypatch, network, "member_score")
+    infer_relations(n)
+    assert len(calls) == len(reached)

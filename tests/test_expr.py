@@ -23,6 +23,7 @@ from oodn.expr import (
     Sort,
     SortError,
     Text,
+    equal_up_to_order,
     evaluate,
     expr_equal,
     infer_sort,
@@ -34,7 +35,7 @@ from oodn.expr import (
 from oodn.model import Method
 
 from .helpers import obj, qprop, qual
-from .strategies import expressions
+from .strategies import expressions, unsorted_expressions
 
 
 class TestParse:
@@ -393,6 +394,78 @@ class TestExprEqual:
 
     def test_whitespace_and_parens_irrelevant(self):
         assert expr_equal(parse("( a+b )"), parse("a   +   b"))
+
+
+_COMMUTATIVE = ("or", "and", "==", "!=", "+", "*")
+
+
+def _swapped(e, rng):
+    """`e` with the operands of some commutative operators swapped."""
+    if isinstance(e, (Arith, Compare, Connective)):
+        left, right = _swapped(e.left, rng), _swapped(e.right, rng)
+        if e.op in _COMMUTATIVE and rng.random() < 0.5:
+            left, right = right, left
+        return type(e)(e.op, left, right)
+    if isinstance(e, Not):
+        return Not(_swapped(e.operand, rng))
+    if isinstance(e, Aggregate):
+        return Aggregate(e.fn, _swapped(e.arg, rng))
+    if isinstance(e, If):
+        return If(*(_swapped(c, rng) for c in (e.condition, e.then, e.orelse)))
+    return e
+
+
+_reals = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
+_unit = st.floats(min_value=0.0, max_value=1.0)
+_lists = st.lists(st.one_of(_reals, _unit), min_size=1, max_size=4)
+_contexts = st.builds(
+    lambda p1, p2, sides, args: EvalContext(
+        subject=obj("o", qprop("p1", "cm", p1), qprop("p2", "deg", p2), qprop("side_sizes", "cm", sides)),
+        arguments=dict(zip(["x", "y", "width", "height", "d1"], args)),
+    ),
+    _lists,
+    st.one_of(_reals, _unit),
+    _lists,
+    st.tuples(*[st.one_of(_reals, _unit)] * 5),
+)
+
+
+class TestEqualUpToOrder:
+    def test_commutative_operands_only(self):
+        assert equal_up_to_order(parse("a + b * c"), parse("c * b + a"))
+        assert equal_up_to_order(parse("x == 1 and y"), parse("y and 1 == x"))
+        assert equal_up_to_order(parse("x > 1"), parse("x > 1"))
+        for a, b in [
+            ("a - b", "b - a"),
+            ("x > 1", "1 < x"),
+            ("(a + b) + c", "a + (b + c)"),
+            ("not not (x > 0)", "x > 0"),
+            ("x > 1 + 1", "x > 2"),
+            ("min(self.p.values)", "max(self.p.values)"),
+            ("if x then y else z", "if x then z else y"),
+            ("a + a", "a + b"),
+        ]:
+            assert not equal_up_to_order(parse(a), parse(b)), (a, b)
+
+    @settings(max_examples=300)
+    @given(
+        st.one_of(expressions(), unsorted_expressions()),
+        st.randoms(use_true_random=False),
+        _contexts,
+    )
+    def test_a_swapped_copy_evaluates_alike(self, e, rng, ctx):
+        """Equal values, or `EvalError` from both; `==` on values, since
+        `and` over 0.0 and -0.0 keeps the sign of its first operand."""
+        swapped = _swapped(e, rng)
+        assert equal_up_to_order(e, swapped) and equal_up_to_order(swapped, e)
+        outcomes = []
+        for tree in (e, swapped):
+            try:
+                outcomes.append(evaluate(tree, ctx))
+            except EvalError:
+                outcomes.append(EvalError)
+        a, b = outcomes
+        assert a == b or (a != a and b != b), (a, b)
 
 
 class TestSorts:

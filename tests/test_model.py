@@ -182,6 +182,32 @@ class TestValidation:
             ObjectInstance("o", clone_index=index)
         assert str(exc.value) == f"clone index must be an integer >= 0: {index!r}"
 
+    @pytest.mark.parametrize(
+        "name, units",
+        [(1, "cm"), ("p", 5), (None, "cm"), (b"p", "cm"), ("p", ["cm"])],
+        ids=["int-name", "int-units", "none-name", "bytes-name", "list-units"],
+    )
+    def test_quantitative_name_and_units_must_be_strs(self, name, units):
+        with pytest.raises(ModelError) as exc:
+            QuantitativeProperty(name, units, 1.0)
+        assert str(exc.value) == (
+            f"property name and units must be strings: {name!r}, {units!r}"
+        )
+
+    @pytest.mark.parametrize(
+        "parameters, message",
+        [
+            ("ab", "parameters must be a sequence of names, not the string 'ab'"),
+            (("a", 1), "parameter name 1 is not a string"),
+            ([None], "parameter name None is not a string"),
+        ],
+        ids=["str", "int-name", "none-name"],
+    )
+    def test_method_parameters_must_be_names(self, parameters, message):
+        with pytest.raises(ModelError) as exc:
+            Method("m", parameters)
+        assert type(exc.value) is ModelError and str(exc.value) == f"method 'm': {message}"
+
 
 class TestEquivalence:
     def test_quantitative_by_units_only(self):

@@ -5,7 +5,9 @@ The engine computes each subtree's order key while it normalizes, where
 the reference walked every commutative operand again with `_key`.  On
 `tests/strategies.py` trees, well-sorted or not, and on a fixed panel, the
 two must give equal normal forms, and the engine's order key must equal
-the reference `_key` of that normal form.
+the reference `_key` of that normal form.  The flag `_normalize` computes
+in the same pass must say whether the normal form is `equal_up_to_order`
+to the tree.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oodn.expr import _normalize, normalize, parse
+from oodn.expr import _normalize, equal_up_to_order, normalize, parse
 
 from . import reference_normalize as reference
 from .strategies import expressions, unsorted_expressions
@@ -35,10 +37,11 @@ _PANEL = (
 
 
 def _agrees(e) -> None:
-    got, key = _normalize(e)
+    got, key, reordered_only = _normalize(e)
     assert got == reference.normalize(e), e
     assert key == reference._key(got), e
     assert normalize(e) == got
+    assert reordered_only == equal_up_to_order(got, e), e
 
 
 @pytest.mark.parametrize("source", _PANEL)
