@@ -754,14 +754,19 @@ _NO_CONTEXT = EvalContext()
 def evaluate(e: Expr, ctx: EvalContext) -> Value:
     """The value of `e` for the subject and arguments of `ctx`.
 
-    `_RULES` maps each node type to the rule that evaluates it, so one
-    node costs one dict read; a rule evaluates its children through
-    `evaluate` again."""
-    try:
-        rule = _RULES[type(e)]
-    except KeyError:
-        raise TypeError(f"not an expression node: {e!r}") from None
-    return rule(e, ctx)
+    Both operands of a binary operator are evaluated, the left first, so
+    an error in either is raised even when the other decides the value
+    (`0 and self.m.value >= 1` raises without a property `m`); when both
+    fail, the left one's error is reported.  `if` evaluates only the
+    branch it takes.  The operand of `not`, those of `and` and `or`, and
+    an `if` condition must be degrees in [0, 1].  `_RULES` maps each node
+    type to its rule; a rule evaluates children through `_RULES` and tests
+    a float operand inline, so a node costs one dict read and one call."""
+    return _RULES[type(e)](e, ctx)
+
+
+def _not_a_node(e, ctx: EvalContext) -> NoReturn:
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def _eval_literal(e: Num | Text, ctx: EvalContext) -> Value:
@@ -780,60 +785,74 @@ def _eval_propref(e: PropRef, ctx: EvalContext) -> Value:
     prop = ctx.subject.find_property(e.prop)
     if prop is None:
         raise EvalError(f"subject has no property {e.prop!r}", e)
-    quantitative = hasattr(prop, "units")
-    if e.attr == "units":
-        if not quantitative:
-            raise EvalError(f"property {e.prop!r} has no units", e)
-        return prop.units
     if e.attr == "value":
-        if quantitative:
-            if prop.value is None:
-                raise EvalError(f"property {e.prop!r} has no concrete value", e)
-            if isinstance(prop.value, tuple):
-                raise EvalError(
-                    f"property {e.prop!r} is list-valued; use .values", e
-                )
-            return prop.value
-        if prop.degree is None:
-            raise EvalError(f"property {e.prop!r} has no stored degree", e)
-        return prop.degree
-    if not quantitative or not isinstance(prop.value, tuple):
+        try:
+            value = prop.value
+        except AttributeError:  # a qualitative property: its stored degree
+            value = prop.degree
+            if value is None:
+                raise EvalError(f"property {e.prop!r} has no stored degree", e) from None
+        if type(value) is float:
+            return value
+        if value is None:
+            raise EvalError(f"property {e.prop!r} has no concrete value", e)
+        if isinstance(value, tuple):
+            raise EvalError(f"property {e.prop!r} is list-valued; use .values", e)
+        return value
+    if e.attr == "units":
+        units = getattr(prop, "units", None)  # only a quantitative property has units
+        if units is None:
+            raise EvalError(f"property {e.prop!r} has no units", e)
+        return units
+    value = getattr(prop, "value", None)
+    if not isinstance(value, tuple):
         raise EvalError(f"property {e.prop!r} is not list-valued", e)
-    return prop.value if e.attr == "values" else float(len(prop.value))
+    return value if e.attr == "values" else float(len(value))
 
 
 def _eval_arith(e: Arith, ctx: EvalContext) -> float:
-    a = _number(evaluate(e.left, ctx), e.left)
-    b = _number(evaluate(e.right, ctx), e.right)
+    a = _RULES[type(e.left)](e.left, ctx)
+    if type(a) is not float:
+        a = _number(a, e.left)
+    b = _RULES[type(e.right)](e.right, ctx)
+    if type(b) is not float:
+        b = _number(b, e.right)
     if b == 0 and e.op == "/":
         raise EvalError("division by zero", e)
-    return _BINARY[e.op].meaning(a, b)
+    return _MEANINGS[e.op](a, b)
 
 
 def _eval_compare(e: Compare, ctx: EvalContext) -> float:
-    a = evaluate(e.left, ctx)
-    b = evaluate(e.right, ctx)
+    a = _RULES[type(e.left)](e.left, ctx)
+    b = _RULES[type(e.right)](e.right, ctx)
     if type(a) is not float or type(b) is not float:  # two floats are the common case
         if isinstance(a, str) and isinstance(b, str):
             if e.op not in ("==", "!="):
                 raise EvalError(f"ordering '{e.op}' is not defined for text", e)
         elif not (_is_number(a) and _is_number(b)):
             raise EvalError("comparison needs two numbers or two texts", e)
-    return 1.0 if _BINARY[e.op].meaning(a, b) else 0.0
+    return 1.0 if _MEANINGS[e.op](a, b) else 0.0
 
 
 def _eval_not(e: Not, ctx: EvalContext) -> float:
-    return 1.0 - _degree(evaluate(e.operand, ctx), e.operand)
+    v = _RULES[type(e.operand)](e.operand, ctx)
+    if type(v) is not float or not 0.0 <= v <= 1.0:
+        v = _degree(v, e.operand)
+    return 1.0 - v
 
 
 def _eval_connective(e: Connective, ctx: EvalContext) -> float:
-    a = _degree(evaluate(e.left, ctx), e.left)
-    b = _degree(evaluate(e.right, ctx), e.right)
-    return _BINARY[e.op].meaning(a, b)
+    a = _RULES[type(e.left)](e.left, ctx)
+    if type(a) is not float or not 0.0 <= a <= 1.0:
+        a = _degree(a, e.left)
+    b = _RULES[type(e.right)](e.right, ctx)
+    if type(b) is not float or not 0.0 <= b <= 1.0:
+        b = _degree(b, e.right)
+    return _MEANINGS[e.op](a, b)
 
 
 def _eval_aggregate(e: Aggregate, ctx: EvalContext) -> float:
-    arg = evaluate(e.arg, ctx)
+    arg = _RULES[type(e.arg)](e.arg, ctx)
     if not isinstance(arg, tuple):
         raise EvalError(f"{e.fn} expects a list of numbers", e)
     if e.fn == "count":
@@ -851,11 +870,19 @@ def _eval_aggregate(e: Aggregate, ctx: EvalContext) -> float:
 
 
 def _eval_if(e: If, ctx: EvalContext) -> Value:
-    cond = _degree(evaluate(e.condition, ctx), e.condition)
-    return evaluate(e.then if cond > 0 else e.orelse, ctx)
+    c = _RULES[type(e.condition)](e.condition, ctx)
+    if type(c) is not float or not 0.0 <= c <= 1.0:
+        c = _degree(c, e.condition)
+    branch = e.then if c > 0 else e.orelse
+    return _RULES[type(branch)](branch, ctx)
 
 
-_RULES = {
+class _Rules(dict):
+    def __missing__(self, kind: type):  # not a node type: a rule that raises
+        return _not_a_node
+
+
+_RULES = _Rules({
     Num: _eval_literal,
     Text: _eval_literal,
     PropRef: _eval_propref,
@@ -866,7 +893,8 @@ _RULES = {
     Connective: _eval_connective,
     Aggregate: _eval_aggregate,
     If: _eval_if,
-}
+})
+_MEANINGS = {op: row.meaning for op, row in _BINARY.items()}
 
 
 def _is_number(v: Value) -> bool:
@@ -875,13 +903,13 @@ def _is_number(v: Value) -> bool:
 
 
 def _number(v: Value, node: Expr) -> float:
-    if type(v) is float or _is_number(v):
+    if _is_number(v):
         return float(v)
     raise EvalError("expected a number", node)
 
 
 def _degree(v: Value, node: Expr) -> float:
-    n = v if type(v) is float else _number(v, node)
+    n = _number(v, node)
     if not 0.0 <= n <= 1.0:
         raise EvalError(f"degree out of range: {n}", node)
     return n

@@ -123,6 +123,8 @@ class QualitativeProperty:
     _reordered_only: bool | None = _cache_field()  # set with `_key`; see `score_key`
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ModelError(f"property name must be a string: {self.name!r}")
         if not self.name:
             raise ModelError("property name must be nonempty")
         if self.verification is None and self.degree is None:
@@ -221,6 +223,8 @@ class Method:
     _key: tuple | None = _cache_field()
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ModelError(f"method name must be a string: {self.name!r}")
         if not self.name:
             raise ModelError("method name must be nonempty")
         if isinstance(self.parameters, str):
@@ -384,10 +388,12 @@ class ClassDef:
 
 
 def require_homogeneous(t: ClassDef, context: str) -> Core:
-    if not t.is_homogeneous:
+    if not isinstance(t, ClassDef):
+        raise TypeError(f"{context}: expected a ClassDef, got {type(t).__name__}")
+    core = t.core
+    if core is None or t.projections:
         raise ModelError(f"{context}: class {t.name!r} is not core-only")
-    assert t.core is not None
-    return t.core
+    return core
 
 
 # --- equivalence judgments ---------------------------------------------------
@@ -420,21 +426,25 @@ def structure(part) -> frozenset:
     method as (name, arity); a str is never an int, so the two never
     meet.  Built per call and not cached: an object member's `key` is
     not filled in here, since most are never read again."""
-    return frozenset(
-        [(p.name, p.units) for p in part.specification if isinstance(p, QuantitativeProperty)]
-        + [(m.name, len(m.parameters)) for m in part.signature]
-    )
+    return requirements(part)[0]
 
 
-def requirements(core: Core) -> tuple[frozenset, tuple]:
-    """`core` split in two: its `structure`, and the members that an
-    object meeting that structure still has to be scored on, in scoring
-    order: the methods that have a body, then the qualitative
-    properties, each group in member order."""
-    return structure(core), (
-        *[m for m in core.signature if m.body is not None],
-        *[p for p in core.specification if isinstance(p, QualitativeProperty)],
-    )
+def requirements(part) -> tuple[frozenset, tuple]:
+    """A core (or object) split in two in one pass over its members: its
+    `structure`, and the members an object meeting that structure still
+    has to be scored on, in scoring order: the methods that have a body,
+    then the qualitative properties, each group in member order."""
+    required, bodied, qualitative = [], [], []
+    for p in part.specification.members:
+        if isinstance(p, QuantitativeProperty):
+            required.append((p.name, p.units))
+        else:
+            qualitative.append(p)
+    for m in part.signature.methods:
+        required.append((m.name, len(m.parameters)))
+        if m.body is not None:
+            bodied.append(m)
+    return frozenset(required), (*bodied, *qualitative)
 
 
 def satisfies(o: ObjectInstance, t: ClassDef, threshold: float = 1.0) -> float:
@@ -442,6 +452,8 @@ def satisfies(o: ObjectInstance, t: ClassDef, threshold: float = 1.0) -> float:
     `o` lacks part of the class's structure, else the minimum over the
     scores of the remaining members.  Callers compare the result against
     `threshold` for a crisp instance-of decision."""
+    if not isinstance(o, ObjectInstance):
+        raise TypeError(f"satisfies: expected an ObjectInstance, got {type(o).__name__}")
     core = require_homogeneous(t, "satisfies")
     check_threshold(threshold)
     required, scored = requirements(core)
@@ -496,7 +508,7 @@ def subsumes(general: ClassDef, specific: ClassDef) -> bool:
     equivalent."""
     s = require_homogeneous(specific, "subsumes")
     g = require_homogeneous(general, "subsumes")
-    return g.member_keys < s.member_keys
+    return _member_keys(g) < _member_keys(s)
 
 
 # --- structural comparisons used for deduplication --------------------------

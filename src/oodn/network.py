@@ -117,6 +117,8 @@ class Relation:
     triple: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if type(self.source) is not NodeRef or type(self.target) is not NodeRef:  # runs per edge
+            raise NetworkError(f"relation ends must be NodeRefs: {self.source!r}, {self.target!r}")
         if not self.kind:
             raise NetworkError("relation kind must be nonempty")
         if self.provenance not in PROVENANCES:
@@ -291,13 +293,11 @@ def infer_relations(n: Network, threshold: float = 1.0) -> tuple:
 
     An object meets class i only when its `structure` contains the
     class's, one set test per pair; only then are the class's scored
-    members read (see `model.requirements`).  Equal scored members share
-    one slot, scored at most once per object, so the result equals
-    `satisfies(o, t, threshold) >= threshold` per pair without
-    re-evaluating a member that several classes list.  Slots are bucketed
-    by the member's cached key and matched by `==` inside a bucket, since
-    key-equal members may differ in value.  A proper subset is smaller,
-    so only pairs of different sizes reach `subsumes`."""
+    members read (see `model.requirements`).  Scored members with one
+    `score_key` share one slot, scored at most once per object, so the
+    result equals `satisfies(o, t, threshold) >= threshold` per pair
+    without re-evaluating a member that several classes list.  A proper
+    subset is smaller, so only pairs of different sizes reach `subsumes`."""
     check_threshold(threshold)
     homogeneous = [t for t in n.classes if t.is_homogeneous]
     refs = [class_ref(t) for t in homogeneous]

@@ -14,7 +14,7 @@ import json
 import pytest
 
 from oodn import NodeRef, Network, apply_exploiter, infer_relations, load_text, save_text
-from oodn import io, model, network
+from oodn import expr, io, model, network
 from oodn.network import class_ref
 
 from .helpers import cls, meth, obj, qprop, qual
@@ -131,3 +131,31 @@ def test_inference_scores_each_key_once_per_object(size, monkeypatch):
     calls = counted(monkeypatch, network, "member_score")
     infer_relations(n)
     assert len(calls) == len(reached)
+
+
+def test_inference_evaluates_each_verification_slot_once_per_object(size, monkeypatch):
+    """Class `T_i` also holds one verification, which reads `p0` and
+    `p_{i mod 20}` and takes one of three bounds.  Being the class's only
+    scored member, it is reached wherever the structural test passes, so
+    `evaluate` is called from `model` once per (object, slot) pair that
+    test reaches, however many nodes the verification has.  The rules
+    evaluate every node below the root without calling `evaluate` again,
+    and the verifications fold no literals when their keys are computed,
+    so nothing calls `expr.evaluate` through its module."""
+    n = baseline(
+        size,
+        lambda i: (qual("near", f"self.p0.value >= {i % 3} and not (self.p{i % 20}.value > 2)"),),
+    )
+    reached = set()
+    for t in n.classes:
+        required, scored = model.requirements(t.core)
+        assert len(scored) == 1
+        for o in n.objects:
+            if required <= model.structure(o):
+                reached.update((o.node_name, m.score_key) for m in scored)
+    assert len({key for _, key in reached}) > 3
+    top = counted(monkeypatch, model, "evaluate")
+    nested = counted(monkeypatch, expr, "evaluate")
+    infer_relations(n)
+    assert len(top) == len(reached)
+    assert not nested

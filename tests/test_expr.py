@@ -585,3 +585,39 @@ class TestEvaluate:
     def test_scalar_value_of_list_property(self):
         with pytest.raises(EvalError, match="use .values"):
             evaluate(parse("self.side_sizes.value"), EvalContext(subject=self._square()))
+
+    @pytest.mark.parametrize("source", ["0 and self.m.value >= 1", "1 or self.m.value >= 1"])
+    def test_both_operands_are_evaluated(self, source):
+        """The left operand decides the value, yet the right one's error is raised."""
+        e = parse(source)
+        with pytest.raises(EvalError) as exc:
+            evaluate(e, EvalContext(subject=obj("o", qprop("n", "count", 1.0))))
+        assert str(exc.value) == "subject has no property 'm'"
+        assert exc.value.node is e.right.left
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("self.a.value + self.b.value > 0", "subject has no property 'a'"),
+            ("self.a.value >= 0 and self.b.value >= 0", "subject has no property 'a'"),
+            ("self.a.value < self.b.value", "subject has no property 'a'"),
+            ("x + self.b.value", "expected a number"),
+            ("x or self.b.value >= 0", "expected a number"),
+        ],
+    )
+    def test_left_operand_error_is_reported(self, source, message):
+        e = parse(source)
+        with pytest.raises(EvalError) as exc:
+            evaluate(e, EvalContext(subject=obj("o"), arguments={"x": "cm"}))
+        assert str(exc.value) == message
+        leftmost = e
+        while not isinstance(leftmost, (PropRef, ParamRef)):
+            leftmost = leftmost.left
+        assert exc.value.node is leftmost
+
+    def test_if_evaluates_only_the_branch_it_takes(self):
+        ctx = EvalContext()
+        assert evaluate(parse("if 1 then 0.5 else self.m.value"), ctx) == 0.5
+        assert evaluate(parse("if 0 then self.m.value else 0.25"), ctx) == 0.25
+        with pytest.raises(EvalError, match="^no subject to resolve self.m$"):
+            evaluate(parse("if 0 then 0.5 else self.m.value"), ctx)

@@ -208,6 +208,20 @@ class TestValidation:
             Method("m", parameters)
         assert type(exc.value) is ModelError and str(exc.value) == f"method 'm': {message}"
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda name: QualitativeProperty(name, None, 0.5), "property name must be a string"),
+            (lambda name: Method(name, ()), "method name must be a string"),
+        ],
+        ids=["qualitative", "method"],
+    )
+    @pytest.mark.parametrize("name", [1, None, b"m"], ids=["int", "none", "bytes"])
+    def test_member_name_must_be_a_str(self, make, message, name):
+        with pytest.raises(ModelError) as exc:
+            make(name)
+        assert type(exc.value) is ModelError and str(exc.value) == f"{message}: {name!r}"
+
 
 class TestEquivalence:
     def test_quantitative_by_units_only(self):
@@ -296,6 +310,18 @@ class TestSatisfies:
         with pytest.raises(ModelError):
             satisfies(obj("o", qprop("p", value=1)), mixed)
 
+    def test_arguments_of_the_wrong_type(self):
+        o, t = obj("o", qprop("p", value=1)), cls("t", qprop("p"))
+        for args, message in [
+            ((o, t.core), "satisfies: expected a ClassDef, got Core"),
+            ((o, None), "satisfies: expected a ClassDef, got NoneType"),
+            ((t, t), "satisfies: expected an ObjectInstance, got ClassDef"),
+            (("o", t), "satisfies: expected an ObjectInstance, got str"),
+        ]:
+            with pytest.raises(TypeError) as exc:
+                satisfies(*args)
+            assert type(exc.value) is TypeError and str(exc.value) == message
+
     @settings(max_examples=100)
     @given(core_only_classes())
     def test_monotone_under_member_removal(self, t):
@@ -332,6 +358,15 @@ class TestSubsumes:
     def test_irreflexive(self, polygons):
         tr = polygons.find_class("T(R)")
         assert not subsumes(tr, tr)
+
+    def test_arguments_must_be_classes(self):
+        t = cls("t", qprop("p"))
+        cases = [((1, 2), "int"), ((t, 2), "int"), ((t.core, t), "Core"), ((t, None), "NoneType")]
+        for args, got in cases:
+            with pytest.raises(TypeError) as exc:
+                subsumes(*args)
+            assert type(exc.value) is TypeError
+            assert str(exc.value) == f"subsumes: expected a ClassDef, got {got}"
 
     def test_requires_equivalent_members(self):
         general = cls("g", qprop("p", "cm"))

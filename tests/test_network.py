@@ -127,6 +127,17 @@ class TestRelationTriple:
         assert type(exc.value) is NetworkError
         assert str(exc.value) == "unknown provenance 'guessed'"
 
+    @pytest.mark.parametrize(
+        "source, target",
+        [(1, A), (B, 2), (("class", "b"), A), (B, None), (1, 2), (B, "a")],
+        ids=["int-source", "int-target", "tuple-source", "none-target", "both", "str-target"],
+    )
+    def test_ends_must_be_node_refs(self, source, target):
+        with pytest.raises(NetworkError) as exc:
+            Relation(source, target, "a-kind-of")
+        assert type(exc.value) is NetworkError
+        assert str(exc.value) == f"relation ends must be NodeRefs: {source!r}, {target!r}"
+
     def test_triple_is_source_target_kind(self):
         r = Relation(self.B, self.A, "a-kind-of", "inferred")
         assert r.triple == (self.B, self.A, "a-kind-of")
