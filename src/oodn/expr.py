@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import string
 from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
@@ -105,15 +106,26 @@ class ParamRef:
     name: str
 
 
+class _BinaryNode:
+    """Checks that `op` is an operator of `_BINARY` that builds this type."""
+
+    __slots__ = ()
+
+    def __post_init__(self):
+        row = _BINARY.get(self.op)
+        if row is None or row.node is not type(self):
+            raise ExprError(f"{type(self).__name__} has no operator {self.op!r}")
+
+
 @dataclass(frozen=True, slots=True)
-class Arith:
+class Arith(_BinaryNode):
     op: str
     left: "Expr"
     right: "Expr"
 
 
 @dataclass(frozen=True, slots=True)
-class Compare:
+class Compare(_BinaryNode):
     op: str
     left: "Expr"
     right: "Expr"
@@ -125,7 +137,7 @@ class Not:
 
 
 @dataclass(frozen=True, slots=True)
-class Connective:
+class Connective(_BinaryNode):
     op: str  # "and" | "or"
     left: "Expr"
     right: "Expr"
@@ -135,6 +147,10 @@ class Connective:
 class Aggregate:
     fn: str
     arg: "Expr"
+
+    def __post_init__(self):
+        if self.fn not in AGGREGATES:
+            raise ExprError(f"unknown aggregate {self.fn!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -302,45 +318,54 @@ _KEYWORDS = frozenset(
     {"and", "or", "not", "if", "then", "else", "self"} | set(AGGREGATES)
 )
 
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_SYMBOLS = ("<=", ">=", "==", "!=", *"<>+-*/().,")  # a two-character one before its prefix
 _TOKEN_RE = re.compile(
-    r"""
-    \s*(?:
-      (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-    | (?P<string>"(?:[^"\\]|\\.)*")
-    | (?P<ref>self\s*\.\s*(?P<prop>[A-Za-z_][A-Za-z0-9_]*)\s*\.\s*(?P<attr>[A-Za-z_][A-Za-z0-9_]*))
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<op><=|>=|==|!=|[<>+\-*/().,])
-    | (?P<bad>\S)
+    rf"""
+    \s*(
+      \d+(?:\.\d+)?(?:[eE][+-]?\d+)?                  # number
+    | "(?:[^"\\]|\\.)*"                               # string
+    | self\s*\.\s*[A-Za-z_][A-Za-z0-9_]*\s*\.\s*[A-Za-z_][A-Za-z0-9_]*  # ref
+    | [A-Za-z_][A-Za-z0-9_]*                          # ident
+    | {"|".join(map(re.escape, _SYMBOLS))}            # op
+    | \S                                              # bad
     )
     """,
     re.VERBOSE,
 )
-_REF = _TOKEN_RE.groupindex["ref"]
 
 
-def _tokenize(source: str) -> list[tuple]:
-    """(kind, text, offset) of each token, ending with an "eof" token.
+def _tokenize(source: str) -> list[str]:
+    """The text of each token, then "" for the end of input; kinds and
+    offsets are built only to report an error (`_kind`, `_Parser.error`).
 
-    One match is one token with the whitespace before it, so the token's
-    text and offset are those of its group, `m.lastindex`.  A well-formed
-    property reference `self . IDENT . IDENT` is one token of kind "ref"
-    and text "self" at the offset of `self`, which also carries the
-    property name, the accessor and the accessor's offset; a malformed
-    one lexes as its separate tokens.  A character that starts no token
-    is a token of kind "bad", which the parser reports; `bad` takes no
-    whitespace.  The search stops before the trailing whitespace, from
-    which every start would fail only after scanning to the end, a cost
-    quadratic in its length.  `str.rstrip` and the pattern agree on which
-    characters are whitespace.
+    One match is one token, the pattern's one group, with the whitespace
+    before it, so `findall` runs no Python code per token.  A well-formed
+    property reference `self . IDENT . IDENT` is one token; a malformed one
+    lexes as its separate tokens.  A character that starts no token is a
+    bad token of its own, which the parser reports.  The search stops
+    before the trailing whitespace, from which every start would fail only
+    after scanning to the end, a cost quadratic in its length.  `str.rstrip`
+    and the pattern agree on which characters are whitespace.
     """
-    tokens = [
-        (m.lastgroup, m[i], m.start(i))
-        if (i := m.lastindex) != _REF  # the enclosing group closes last, so it is `lastindex`
-        else ("ref", "self", m.start(i), m["prop"], m["attr"], m.start("attr"))
-        for m in _TOKEN_RE.finditer(source, 0, len(source.rstrip()))
-    ]
-    tokens.append(("eof", "", len(source)))
+    tokens = _TOKEN_RE.findall(source, 0, len(source.rstrip()))
+    tokens.append("")
     return tokens
+
+
+def _kind(text: str) -> str:
+    """The kind of the token `text`, told by its first character: "ref",
+    "ident" (keywords too), "number" (`\\d` is `str.isdecimal`), "string",
+    "op", "bad", or "eof" for "".  Only error reports call it;
+    `_Parser.operand` makes the same tests inline, on the success path."""
+    first = text[:1]
+    if first in _IDENT_START:
+        return "ref" if "." in text else "ident"
+    if first.isdecimal():
+        return "number"
+    if first == '"' and len(text) > 1:  # a lone quote starts no string
+        return "string"
+    return "op" if text in _SYMBOLS else "bad" if text else "eof"
 
 
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
@@ -378,10 +403,11 @@ class _Parser:
     Precedence", 1973): `expr` reads an `if`, `binary` the operators and
     `operand` what they apply to.
 
-    `text` is that of the current token, `tokens[pos]`; only the "eof"
-    token has empty text.  Operator, keyword, number and string texts
-    never coincide, so most checks test `text` alone.  `leaves` maps the
-    key of each leaf made so far to its node.
+    `tokens` holds token texts, and `text` is the current one, `tokens[pos]`;
+    only the "eof" token has empty text.  No two kinds of token share a
+    text, so most checks test `text` alone, and `operand` tells a leaf by
+    its first character.  `leaves` maps the key of each leaf made so far
+    to its node.
     """
 
     __slots__ = ("source", "tokens", "leaves", "pos", "text", "depth", "operators")
@@ -391,7 +417,7 @@ class _Parser:
         self.tokens = _tokenize(source)
         self.leaves = leaves
         self.pos = 0
-        self.text = self.tokens[0][1]
+        self.text = self.tokens[0]
         self.depth = 0
         self.operators = 0
 
@@ -399,27 +425,31 @@ class _Parser:
         """Consume the current token and return its text."""
         text = self.text
         self.pos += 1
-        self.text = self.tokens[self.pos][1]
+        self.text = self.tokens[self.pos]
         return text
 
-    def error(self, message: str, offset: int | None = None) -> NoReturn:
-        """Raise at `offset`, by default the current token's.
+    def error(self, message: str, within: int = 0) -> NoReturn:
+        """Raise `within` characters into the current token.
 
         The first bad character takes precedence wherever it stands, as if
         the whole source were lexed before parsing.  No rule consumes a bad
         token, so every source holding one ends here.
         """
-        for token in self.tokens:
-            if token[0] == "bad":
-                message, offset = f"unexpected character {token[1]!r}", token[2]
+        source = self.source  # one `finditer` gives the tokens' offsets
+        starts = [m.start(1) for m in _TOKEN_RE.finditer(source, 0, len(source.rstrip()))]
+        starts.append(len(source))
+        offset = starts[self.pos] + within
+        for i, text in enumerate(self.tokens):
+            if _kind(text) == "bad":
+                message, offset = f"unexpected character {text!r}", starts[i]
                 break
-        if offset is None:
-            offset = self.tokens[self.pos][2]
-        line = self.source.count("\n", 0, offset) + 1
-        raise ExprSyntaxError(message, line, offset - self.source.rfind("\n", 0, offset))
+        line = source.count("\n", 0, offset) + 1
+        raise ExprSyntaxError(message, line, offset - source.rfind("\n", 0, offset))
 
     def fail(self, expected: str) -> NoReturn:
-        got = repr(self.text) if self.text else "end of input"
+        """Raise "expected ..., got" the current token; a property reference shows as `self`."""
+        text = self.text
+        got = repr("self" if _kind(text) == "ref" else text) if text else "end of input"
         self.error(f"expected {expected}, got {got}")
 
     def nest(self) -> None:
@@ -435,18 +465,13 @@ class _Parser:
             self.error(f"expression has more than {MAX_OPERATORS} operators")
         text = self.text
         self.pos += 1
-        self.text = self.tokens[self.pos][1]
+        self.text = self.tokens[self.pos]
         return text
 
     def expect(self, text: str) -> None:
         if self.text != text:
             self.fail(f"'{text}'")
         self.advance()
-
-    def expect_ident(self, what: str) -> str:
-        if self.tokens[self.pos][0] != "ident":
-            self.fail(what)
-        return self.advance()
 
     def parse(self) -> Expr:
         e = self.expr()
@@ -493,21 +518,22 @@ class _Parser:
     def operand(self) -> Expr:
         """A unary minus and its operand, or a primary.  A leaf is made
         once per key of `leaves` and consumed here without a call."""
-        pos = self.pos
-        token = self.tokens[pos]
-        kind, text = token[0], token[1]
-        if kind == "ref":
-            _, _, _, prop, attr, offset = token
+        pos, text = self.pos, self.text
+        first = text[:1]
+        word = first in _IDENT_START
+        if word and "." in text:
+            _, prop, attr = text.split(".")
+            prop, attr = prop.strip(), attr.strip()
             if attr not in REF_ATTRS:
                 self.error(
                     f"unknown property accessor {attr!r} (expected one of {', '.join(REF_ATTRS)})",
-                    offset,
+                    len(text) - len(attr),
                 )
             key = (PropRef, prop, attr)
-        elif kind == "number":
+        elif first.isdecimal():
             key = (Num, text)
-        elif kind == "ident" and text not in _KEYWORDS:
-            if self.tokens[pos + 1][1] == "(":
+        elif word and text not in _KEYWORDS:
+            if self.tokens[pos + 1] == "(":
                 self.error(f"unknown function {text!r}")
             key = (ParamRef, text)
         elif text == "(":
@@ -521,7 +547,7 @@ class _Parser:
             e = self.operand()
             self.depth -= 1
             return Num(-e.value) if type(e) is Num else Arith("-", Num(0.0), e)
-        elif kind == "string":
+        elif first == '"' and len(text) > 1:
             self.advance()
             return Text(_unescape(text))
         elif text == "self":
@@ -534,7 +560,7 @@ class _Parser:
         if node is None:
             node = self.leaves[key] = self.leaf(key)
         self.pos = pos + 1
-        self.text = self.tokens[pos + 1][1]
+        self.text = self.tokens[pos + 1]
         return node
 
     def leaf(self, key: tuple) -> Expr:
@@ -553,7 +579,9 @@ class _Parser:
         one, had it been an IDENT, would have made the whole a "ref"."""
         self.advance()  # "self"
         self.expect(".")
-        self.expect_ident("a property name")
+        if _kind(self.text) != "ident":
+            self.fail("a property name")
+        self.advance()
         self.expect(".")
         self.fail("one of value/units/values/count")
 

@@ -209,6 +209,8 @@ class Network:
         return self._modifiers.get(name)
 
     def resolve(self, ref: NodeRef):
+        if not isinstance(ref, NodeRef):
+            raise TypeError(f"not a NodeRef: {ref!r}")
         node = self._lookup(ref)
         if node is None:
             raise NetworkError(f"unresolved {ref.kind} reference {ref.display!r}")

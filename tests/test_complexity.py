@@ -9,11 +9,12 @@ value 1.0, at C = 20 and 80.  Each expected count is worked out from the
 networks and documents involved, never written down as a number.
 """
 
+import collections
 import json
 
 import pytest
 
-from oodn import NodeRef, Network, apply_exploiter, infer_relations, load_text, save_text
+from oodn import LoadError, NodeRef, Network, apply_exploiter, infer_relations, load_text, save_text
 from oodn import expr, io, model, network
 from oodn.network import class_ref
 
@@ -86,8 +87,10 @@ def _sources(value):
             yield from _sources(v)
 
 
-def test_load_parses_each_distinct_source_once(size, monkeypatch):
-    text = save_text(
+def _expression_document(size) -> str:
+    """The baseline saved with a verification and a method in each class,
+    whose sources repeat across classes."""
+    return save_text(
         baseline(
             size,
             lambda i: (
@@ -96,11 +99,60 @@ def test_load_parses_each_distinct_source_once(size, monkeypatch):
             ),
         )
     )
+
+
+def test_load_parses_each_distinct_source_once(size, monkeypatch):
+    text = _expression_document(size)
     sources = list(_sources(json.loads(text)))
     assert len(set(sources)) < len(sources)
     calls = counted(monkeypatch, io, "parse")
     load_text(text)
     assert len(calls) == len(set(sources))
+
+
+class _CountingPattern:
+    """Stands in for `expr._TOKEN_RE` and counts its scans by method."""
+
+    def __init__(self, pattern):
+        self.pattern, self.calls = pattern, collections.Counter()
+
+    def findall(self, *args):
+        self.calls["findall"] += 1
+        return self.pattern.findall(*args)
+
+    def finditer(self, *args):
+        self.calls["finditer"] += 1
+        return self.pattern.finditer(*args)
+
+
+def test_load_lexes_each_distinct_source_in_one_scan(size, monkeypatch):
+    """A load lexes each distinct source with one `findall`.  Token
+    offsets are found with `finditer` only to report a syntax error: never
+    for a clean document, and once per failed parse for a document with
+    one bad source.  (The load parses that source twice: a member list
+    that fails to load is loaded again to find the failing path.)"""
+    text = _expression_document(size)
+    scans = _CountingPattern(expr._TOKEN_RE)
+    monkeypatch.setattr(expr, "_TOKEN_RE", scans)
+    load_text(text)
+    assert scans.calls == {"findall": len(set(_sources(json.loads(text))))}
+    bad = text.replace('"k * 0"', '"k * 0 @"', 1)
+    assert bad != text
+    failed = []
+
+    def parse(source, leaves):
+        try:
+            return expr.parse(source, leaves)
+        except expr.ExprSyntaxError:
+            failed.append(source)
+            raise
+
+    monkeypatch.setattr(io, "parse", parse)
+    scans.calls.clear()
+    with pytest.raises(LoadError, match="unexpected character '@'"):
+        load_text(bad)
+    assert set(failed) == {"k * 0 @"}
+    assert scans.calls["finditer"] == len(failed)
 
 
 def test_inference_tests_subsumption_only_across_core_sizes(size, monkeypatch):

@@ -266,6 +266,33 @@ class TestNum:
         assert Num(3).value == 3
 
 
+_ONE, _LIST = Num(1.0), PropRef("p", "values")
+
+
+class TestOperatorNodes:
+    """A node names only an operator or aggregate that builds its type, so
+    `evaluate`, `print_expr` and `infer_sort` never meet an unknown one."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Arith("%", _ONE, _ONE), "Arith has no operator '%'"),
+            (lambda: Compare("~", _ONE, _ONE), "Compare has no operator '~'"),
+            (lambda: Connective("xor", _ONE, _ONE), "Connective has no operator 'xor'"),
+            (lambda: Arith("and", _ONE, _ONE), "Arith has no operator 'and'"),
+            (lambda: Compare("+", _ONE, _ONE), "Compare has no operator '+'"),
+            (lambda: Connective("==", _ONE, _ONE), "Connective has no operator '=='"),
+            (lambda: Aggregate("foo", _LIST), "unknown aggregate 'foo'"),
+            (lambda: Aggregate("median", _LIST), "unknown aggregate 'median'"),
+        ],
+        ids=["%", "~", "xor", "Arith-and", "Compare-+", "Connective-==", "foo", "median"],
+    )
+    def test_unknown_operator_rejected(self, build, message):
+        with pytest.raises(ExprError) as exc:
+            build()
+        assert type(exc.value) is ExprError and str(exc.value) == message
+
+
 class TestPrint:
     def test_minimal_parentheses(self):
         assert print_expr(parse("1 + 2 * 3")) == "1 + 2 * 3"

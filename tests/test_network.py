@@ -523,6 +523,17 @@ class TestQueries:
         with pytest.raises(NetworkError, match="unresolved"):
             neighbors(inferred, NodeRef("class", "ghost"))
 
+    def test_a_node_name_is_not_a_reference(self, inferred):
+        calls = [
+            lambda: neighbors(inferred, "T(P)"),
+            lambda: reachable(inferred, "T(P)", "a-kind-of"),
+            lambda: apply_modifier(inferred, "M1(T(S))", "R_1"),
+            lambda: inferred.resolve(None),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match="not a NodeRef"):
+                call()
+
     def test_modifier_registration(self):
         from oodn import Modifier
         from oodn.modifiers import SetValue

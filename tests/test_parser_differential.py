@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oodn.expr import parse, print_expr
+from oodn import expr
+from oodn.expr import ExprSyntaxError, parse, print_expr
 
 from . import reference_parser
 from .strategies import expressions
@@ -111,8 +112,10 @@ def test_seeded_soups_agree():
 
 # Whitespace at either end, or alone: a lexer that folds whitespace into
 # each token must neither drop it nor turn it into a token of its own.
+# Last, a digit that is not ASCII, which `\d` lexes as a number.
 _EDGE_SPACING = [
     "", "   ", "x ", " x", "x\n", "1 +\t2 \x0b", "x $ ", '"a" ', "x" + " " * 10_000,
+    "x \u0663 1",
 ]
 
 
@@ -143,6 +146,7 @@ _REFERENCES = [
     "self.p.value2", "self.p.value.5", "1.self.p.value", "self.1p.value", "self.p.e3",
     "x self.p.value", "self.p.value self.q.value", "(self.p.value", "sum(self.p.values",
     "self.p.value(1)", "self .p .value == self. q. value",
+    "count ( (1\t) self.p.value)", "self .\n p . size", "self.p.value @",
 ]
 
 
@@ -179,3 +183,26 @@ def test_seeded_reference_soups_agree():
         _assert_agree(source)
         kinds.add(_outcome(parse, source)[0])
     assert {"tree"} < kinds
+
+
+def _reference_kinds(source: str) -> list[str]:
+    try:
+        return [token.kind for token in reference_parser.tokenize(source)]
+    except ExprSyntaxError:  # the reference lexer stops at a bad character
+        return ["bad", "eof"]
+
+
+def test_each_character_lexes_to_the_reference_kind():
+    """Each BMP character alone is one token of the kind the reference
+    lexer gives it, as `expr._kind` tells it by its first character, or
+    nothing but the end of input for whitespace; and it parses as the
+    reference parses it, which checks the same tests in `_Parser.operand`.
+    This holds `\\d` to `str.isdecimal`, identifiers to ASCII letters and
+    `\\s` to `str.isspace` on the Python that runs it."""
+    for code in range(0x10000):
+        if 0xD800 <= code <= 0xDFFF:  # surrogates
+            continue
+        char = chr(code)
+        kinds = [expr._kind(text) for text in expr._tokenize(char)]
+        assert kinds == _reference_kinds(char), hex(code)
+        _assert_agree(char)
