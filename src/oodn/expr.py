@@ -27,7 +27,7 @@ import operator
 import re
 import string
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from typing import Any, Iterator, Mapping, NoReturn, Union
 
@@ -65,11 +65,41 @@ class EvalError(ExprError):
 
 # --- abstract syntax ---------------------------------------------------------
 
+_FACTORY = type("_Factory", (), {"__repr__": lambda self: "<factory>"})()  # as `dataclass` shows it
+
+
+def _frozen(cls):
+    """`dataclass(frozen=True, slots=True)`, with an `__init__` that stores
+    each field through its slot descriptor's `__set__`: about twice as fast
+    as `dataclass`'s own, which calls `object.__setattr__`.  Invariant: the
+    same fields in the same order, the same parameters and defaults (an
+    `init=False` field gets its default, a `default_factory` field a fresh
+    value), then the same `__post_init__`; `dataclass`'s contract (equality,
+    hashing, `repr`, `replace`, `fields`, frozen-ness) is otherwise unchanged."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    env, params, body = {"FACTORY": _FACTORY, "__name__": cls.__module__}, [], []
+    for i, f in enumerate(fields(cls)):
+        made, given = f.default_factory is not MISSING, f.default is not MISSING
+        env[f"set{i}"] = cls.__dict__[f.name].__set__
+        env[f"default{i}"] = f.default_factory if made else f.default
+        value = f"default{i}()" if made else f"default{i}"
+        if f.init:
+            params.append(f"{f.name}=FACTORY" if made else f"{f.name}={value}" if given else f.name)
+            value = f"{value} if {f.name} is FACTORY else {f.name}" if made else f.name
+        if f.init or made or given:  # else `dataclass` leaves the field unset
+            body.append(f"set{i}(self, {value})")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body), env)
+    cls.__init__ = env["__init__"]
+    return cls
+
+
 REF_ATTRS = ("value", "units", "values", "count")
 AGGREGATES = ("sum", "min", "max", "count", "all_equal")
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class Num:
     value: float
 
@@ -86,12 +116,12 @@ class Num:
             raise ExprError(f"number {self.value} is not finite")
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class Text:
     value: str
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class PropRef:
     """Reference to a property of the evaluation subject (`self.<p>.<attr>`)."""
 
@@ -99,7 +129,7 @@ class PropRef:
     attr: str
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class ParamRef:
     """Reference to a method parameter by name."""
 
@@ -117,33 +147,33 @@ class _BinaryNode:
             raise ExprError(f"{type(self).__name__} has no operator {self.op!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class Arith(_BinaryNode):
     op: str
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class Compare(_BinaryNode):
     op: str
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class Not:
     operand: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class Connective(_BinaryNode):
     op: str  # "and" | "or"
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class Aggregate:
     fn: str
     arg: "Expr"
@@ -153,7 +183,7 @@ class Aggregate:
             raise ExprError(f"unknown aggregate {self.fn!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class If:
     condition: "Expr"
     then: "Expr"
@@ -608,60 +638,34 @@ def parse(source: str, leaves: dict | None = None) -> Expr:
 
 # --- printer -----------------------------------------------------------------
 
-def _prec(e: Expr) -> int:
-    if isinstance(e, (Arith, Compare, Connective)):
-        return _BINARY[e.op].prec
-    if isinstance(e, If):
-        return _PREC_IF
-    if isinstance(e, Not):
-        return _PREC_NOT
-    return _PREC_ATOM
-
-
-def _fmt_num(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
-
 
 def print_expr(e: Expr) -> str:
     """Render `e` with minimal parentheses; parse(print_expr(e)) == e."""
-    if isinstance(e, Num):
-        return _fmt_num(e.value)
-    if isinstance(e, Text):
-        return f'"{_escape(e.value)}"'
-    if isinstance(e, PropRef):
-        return f"self.{e.prop}.{e.attr}"
-    if isinstance(e, ParamRef):
-        return e.name
-    if isinstance(e, (Arith, Compare, Connective)):
-        p, tight = _BINARY[e.op].prec, isinstance(e, Compare)  # comparisons do not chain
-        return f"{_child(e.left, p, tight)} {e.op} {_child(e.right, p, tight=True)}"
-    if isinstance(e, Not):
-        return f"not {_child(e.operand, _PREC_NOT, tight=False)}"
-    if isinstance(e, Aggregate):
-        return f"{e.fn}({print_expr(e.arg)})"
-    if isinstance(e, If):
-        # `then` and `else` delimit the parts, so no part needs
-        # parentheses; adding them would add nesting levels.
-        return (
-            f"if {print_expr(e.condition)} then {print_expr(e.then)} "
-            f"else {print_expr(e.orelse)}"
-        )
-    raise TypeError(f"not an expression node: {e!r}")
+    return _NODES[type(e)].print(e)
 
 
 def _child(e: Expr, parent_prec: int, tight: bool) -> str:
-    p = _prec(e)
+    node = _NODES[type(e)]
+    p = _BINARY[e.op].prec if node.prec is None else node.prec
     if p < parent_prec or (tight and p == parent_prec):
-        return f"({print_expr(e)})"
-    return print_expr(e)
+        return f"({node.print(e)})"
+    return node.print(e)
+
+
+def _print_num(e: Num) -> str:
+    if e.value == int(e.value) and abs(e.value) < 1e16:
+        return str(int(e.value))
+    return repr(e.value)
+
+
+def _print_binary(e: Arith | Compare | Connective) -> str:
+    p, tight = _BINARY[e.op].prec, type(e) is Compare  # comparisons do not chain
+    return f"{_child(e.left, p, tight)} {e.op} {_child(e.right, p, True)}"
 
 
 # --- normal form -------------------------------------------------------------
 
 _LITERALS = (Num, Text)
-_BINARY_TAGS = {Arith: 4, Compare: 5, Connective: 7}
 
 
 def normalize(e: Expr) -> Expr:
@@ -685,40 +689,31 @@ def _normalize(e: Expr) -> tuple:
     """`normalize(e)`, its order key, a fixed total order on subtrees
     (variant tag, then payload, then the children's keys), and whether
     it differs from `e` only in operand order."""
-    if isinstance(e, Num):
-        return e, (0, e.value), True
-    if isinstance(e, Text):
-        return e, (1, e.value), True
-    if isinstance(e, PropRef):
-        return e, (2, e.prop, e.attr), True
-    if isinstance(e, ParamRef):
-        return e, (3, e.name), True
-    if isinstance(e, Aggregate):
-        arg, arg_key, same = _normalize(e.arg)
-        return Aggregate(e.fn, arg), (8, e.fn, arg_key), same
-    if isinstance(e, If):
-        cond, then, orelse = map(_normalize, (e.condition, e.then, e.orelse))
-        if isinstance(cond[0], Num):
-            kept = then if cond[0].value > 0 else orelse
-            return kept[0], kept[1], False
-        same = cond[2] and then[2] and orelse[2]
-        return If(cond[0], then[0], orelse[0]), (9, cond[1], then[1], orelse[1]), same
-    if isinstance(e, Not):
-        operand, operand_key, same = _normalize(e.operand)
-        if isinstance(operand, Not):
-            return operand.operand, operand_key[1], False
-        e, key = Not(operand), (6, operand_key)
-        literal = isinstance(operand, _LITERALS)
-    elif isinstance(e, (Arith, Compare, Connective)):
+    return _NODES[type(e)].normalize(e)
+
+
+def _normalize_binary(tag: int):  # the rule of a binary type whose keys start with `tag`
+    def rule(e: Arith | Compare | Connective) -> tuple:
         left, right = _normalize(e.left), _normalize(e.right)
         if _BINARY[e.op].commutative and right[1] < left[1]:
             left, right = right, left
-        e = type(e)(e.op, left[0], right[0])
-        key = (_BINARY_TAGS[type(e)], e.op, left[1], right[1])
+        if left[0] is not e.left or right[0] is not e.right:
+            e = type(e)(e.op, left[0], right[0])
         literal = isinstance(left[0], _LITERALS) and isinstance(right[0], _LITERALS)
-        same = left[2] and right[2]
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
+        return _fold(e, (tag, e.op, left[1], right[1]), left[2] and right[2], literal)
+    return rule
+
+
+def _normalize_not(e: Not) -> tuple:
+    operand, key, same = _normalize(e.operand)
+    if type(operand) is Not:
+        return operand.operand, key[1], False
+    e = e if operand is e.operand else Not(operand)
+    return _fold(e, (6, key), same, isinstance(operand, _LITERALS))
+
+
+def _fold(e: Expr, key: tuple, same: bool, literal: bool) -> tuple:
+    """`_normalize(e)` for an operator over normalized operands, folded if `literal`."""
     if literal:
         try:
             value = evaluate(e, _NO_CONTEXT)
@@ -727,6 +722,58 @@ def _normalize(e: Expr) -> tuple:
         if math.isfinite(value):
             return Num(value), (0, value), False
     return e, key, same
+
+
+def _normalize_aggregate(e: Aggregate) -> tuple:
+    arg, key, same = _normalize(e.arg)
+    return e if arg is e.arg else Aggregate(e.fn, arg), (8, e.fn, key), same
+
+
+def _normalize_if(e: If) -> tuple:
+    cond, then, orelse = map(_normalize, (e.condition, e.then, e.orelse))
+    if type(cond[0]) is Num:
+        kept = then if cond[0].value > 0 else orelse
+        return kept[0], kept[1], False
+    if cond[0] is not e.condition or then[0] is not e.then or orelse[0] is not e.orelse:
+        e = If(cond[0], then[0], orelse[0])
+    return e, (9, cond[1], then[1], orelse[1]), cond[2] and then[2] and orelse[2]
+
+
+def _not_a_node(e, ctx: EvalContext | None = None) -> NoReturn:
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+class _ByType(dict):
+    """A table keyed by node type; any other type reads `missing`."""
+
+    def __init__(self, missing, rows: dict):
+        super().__init__(rows)
+        self.missing = missing
+
+    def __missing__(self, kind: type):
+        return self.missing
+
+
+# Each node type -> the rules `print_expr` and `_normalize` apply to its
+# nodes, and their binding level: the atoms' by default, None for a binary
+# node (its operator's).  Any other type reads rules that raise.
+_Node = namedtuple("_Node", "print normalize prec", defaults=(_PREC_ATOM,))
+_NODES = _ByType(_Node(_not_a_node, _not_a_node), {
+    Num: _Node(_print_num, lambda e: (e, (0, e.value), True)),
+    Text: _Node(lambda e: f'"{_escape(e.value)}"', lambda e: (e, (1, e.value), True)),
+    PropRef: _Node(lambda e: f"self.{e.prop}.{e.attr}", lambda e: (e, (2, e.prop, e.attr), True)),
+    ParamRef: _Node(lambda e: e.name, lambda e: (e, (3, e.name), True)),
+    Arith: _Node(_print_binary, _normalize_binary(4), None),
+    Compare: _Node(_print_binary, _normalize_binary(5), None),
+    Not: _Node(lambda e: f"not {_child(e.operand, _PREC_NOT, False)}", _normalize_not, _PREC_NOT),
+    Connective: _Node(_print_binary, _normalize_binary(7), None),
+    Aggregate: _Node(lambda e: f"{e.fn}({print_expr(e.arg)})", _normalize_aggregate),
+    If: _Node(  # `then` and `else` delimit the parts: parentheses would only add nesting
+        lambda e: "if %s then %s else %s" % tuple(map(print_expr, (e.condition, e.then, e.orelse))),
+        _normalize_if,
+        _PREC_IF,
+    ),
+})
 
 
 def expr_equal(a: Expr, b: Expr) -> bool:
@@ -767,7 +814,7 @@ def equal_up_to_order(a: Expr, b: Expr) -> bool:
 # --- evaluation --------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class EvalContext:
     """Evaluation context: a subject exposing find_property(name) plus
     named argument values for parameter references."""
@@ -791,10 +838,6 @@ def evaluate(e: Expr, ctx: EvalContext) -> Value:
     type to its rule; a rule evaluates children through `_RULES` and tests
     a float operand inline, so a node costs one dict read and one call."""
     return _RULES[type(e)](e, ctx)
-
-
-def _not_a_node(e, ctx: EvalContext) -> NoReturn:
-    raise TypeError(f"not an expression node: {e!r}")
 
 
 def _eval_literal(e: Num | Text, ctx: EvalContext) -> Value:
@@ -905,12 +948,7 @@ def _eval_if(e: If, ctx: EvalContext) -> Value:
     return _RULES[type(branch)](branch, ctx)
 
 
-class _Rules(dict):
-    def __missing__(self, kind: type):  # not a node type: a rule that raises
-        return _not_a_node
-
-
-_RULES = _Rules({
+_RULES = _ByType(_not_a_node, {
     Num: _eval_literal,
     Text: _eval_literal,
     PropRef: _eval_propref,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Iterator, Union
 
 from .errors import OodnError
@@ -35,6 +35,7 @@ from .expr import (
     normalize,
     param_refs,
     print_expr,
+    _frozen,
 )
 
 
@@ -82,7 +83,7 @@ def _cache_field():
     return field(default=None, init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class QuantitativeProperty:
     """Named (value, units) pair; value may be a scalar, an ordered list,
     or absent at class level."""
@@ -111,7 +112,7 @@ class QuantitativeProperty:
         return self._key
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class QualitativeProperty:
     """Named verification predicate mapping the subject into [0, 1]; an
     instance may instead (or additionally) carry an evaluated degree."""
@@ -201,7 +202,7 @@ class _NamedMembers:
         return self._by_name.get(name)
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class Specification(_NamedMembers):
     """Ordered property list with pairwise-distinct names."""
 
@@ -213,7 +214,7 @@ class Specification(_NamedMembers):
         self._index(self.members, (QuantitativeProperty, QualitativeProperty), "property")
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class Method:
     """Named operation; the body may be left abstract at class level."""
 
@@ -262,7 +263,7 @@ class Method:
     score_key = key
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class Signature(_NamedMembers):
     """Ordered method list with pairwise-distinct names."""
 
@@ -285,7 +286,7 @@ def _member_keys(part) -> frozenset:
     return keys
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class ObjectInstance:
     """Concrete object: identifier, clone index (0 = original),
     specification with concrete quantitative values, and signature."""
@@ -321,7 +322,7 @@ class ObjectInstance:
     member_keys = property(_member_keys)
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class Core:
     """Members shared by all constituents of a class."""
 
@@ -335,7 +336,7 @@ class Core:
     member_keys = property(_member_keys)
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class Projection:
     """Members typical of exactly one constituent; labeled by its source."""
 
@@ -355,7 +356,7 @@ class Projection:
     member_keys = property(_member_keys)
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class ClassDef:
     """Class of objects.  Core-only classes are homogeneous; classes with
     projections (with or without a core) are inhomogeneous."""

@@ -13,12 +13,11 @@ raises exactly where applying does, also on a node of the other kind.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
 from .errors import OodnError
-from .expr import Expr
+from .expr import Expr, _frozen
 from .model import (
     ClassDef,
     Core,
@@ -41,7 +40,7 @@ class ModifierError(OodnError):
 # --- primitive edits ---------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class SetValue:
     property_name: str
     value: float | tuple
@@ -50,45 +49,45 @@ class SetValue:
         object.__setattr__(self, "value", coerce_value(self.value))
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class SetUnits:
     property_name: str
     units: str
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class SetExpression:
     property_name: str
     expression: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class AddProperty:
     prop: Property
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class RemoveProperty:
     property_name: str
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class ReplaceProperty:
     property_name: str
     replacement: Property
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class AddMethod:
     method: Method
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class RemoveMethod:
     method_name: str
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class ReplaceMethod:
     method_name: str
     replacement: Method
@@ -110,7 +109,7 @@ OBJECT = "object"
 CLASS = "class"
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class Modifier:
     name: str
     target_kind: str  # "object" | "class"

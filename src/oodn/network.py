@@ -11,7 +11,7 @@ twin.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Sequence
 
 from .errors import OodnError
@@ -25,7 +25,7 @@ from .exploiters import (
     free_index,
     object_union,
 )
-from .expr import EvalContext
+from .expr import EvalContext, _frozen
 from .model import (
     ClassDef,
     ObjectInstance,
@@ -59,7 +59,7 @@ _SUBSUMPTION_KINDS = frozenset({"is-a", "a-kind-of"})
 PROVENANCES = ("declared", "inferred", "recorded")
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class NodeRef:
     """A class by name, or an object by identifier and clone index: a
     nonempty `str` and an `int` >= 0 (0 for a class).  The hash is computed
@@ -107,7 +107,7 @@ def class_ref(t: ClassDef) -> NodeRef:
     return NodeRef(CLASS, t.name)
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class Relation:
     source: NodeRef
     target: NodeRef
@@ -129,7 +129,7 @@ class Relation:
         return (self.kind, self.source.sort_key(), self.target.sort_key(), self.provenance)
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class Network:
     objects: tuple = ()
     classes: tuple = ()

@@ -110,6 +110,36 @@ def test_load_parses_each_distinct_source_once(size, monkeypatch):
     assert len(calls) == len(set(sources))
 
 
+def test_load_builds_each_binary_node_once(size, monkeypatch):
+    """A load runs the operator check of `_BinaryNode` once per binary
+    node of its distinct trees, so no tree is built twice.  Normalizing a
+    normal form builds no node, since a node whose normalized children are
+    its own is kept; the raw trees are not all normal, so normalizing them
+    does build nodes."""
+    text = save_text(
+        baseline(
+            size,
+            lambda i: (
+                qual("near", f"self.p0.value * 2 + {i % 5} > 1 and not (self.p0.value < {i % 3})"),
+                meth("scaled", ("k",), f"k * {i % 3} - k / 2"),
+            ),
+        )
+    )
+    trees = [expr.parse(source) for source in set(_sources(json.loads(text)))]
+    binary = (expr.Arith, expr.Compare, expr.Connective)
+    normal = [expr.normalize(tree) for tree in trees]
+    calls = counted(monkeypatch, expr._BinaryNode, "__post_init__")
+    load_text(text)
+    assert len(calls) == sum(isinstance(n, binary) for tree in trees for n in expr.walk(tree))
+    calls.clear()
+    for tree in normal:
+        expr.normalize(tree)
+    assert not calls
+    for tree in trees:
+        expr.normalize(tree)
+    assert calls
+
+
 class _CountingPattern:
     """Stands in for `expr._TOKEN_RE` and counts its scans by method."""
 

@@ -7,7 +7,9 @@ the reference walked every commutative operand again with `_key`.  On
 two must give equal normal forms, and the engine's order key must equal
 the reference `_key` of that normal form.  The flag `_normalize` computes
 in the same pass must say whether the normal form is `equal_up_to_order`
-to the tree.
+to the tree.  A value that is not a node, at the top or inside a tree,
+raises the reference's `TypeError`.  A normal form normalizes to the very
+same object, since a node whose normalized children are its own is kept.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oodn.expr import _normalize, equal_up_to_order, normalize, parse
+from oodn.expr import Not, _normalize, equal_up_to_order, normal_form, normalize, parse
 
 from . import reference_normalize as reference
 from .strategies import expressions, unsorted_expressions
@@ -34,9 +36,18 @@ _PANEL = (
     "1e308 * 10",
     '"a" + 1',
 )
+_NOT_NODES = (1, None, "x", Not(1))
 
 
 def _agrees(e) -> None:
+    try:
+        reference.normalize(e)
+    except TypeError as error:  # not a node
+        for f in (normalize, normal_form):
+            with pytest.raises(TypeError) as got:
+                f(e)
+            assert str(got.value) == str(error)
+        return
     got, key, reordered_only = _normalize(e)
     assert got == reference.normalize(e), e
     assert key == reference._key(got), e
@@ -44,12 +55,20 @@ def _agrees(e) -> None:
     assert reordered_only == equal_up_to_order(got, e), e
 
 
-@pytest.mark.parametrize("source", _PANEL)
+@pytest.mark.parametrize("source", _PANEL + _NOT_NODES, ids=str)
 def test_panel_agrees(source):
-    _agrees(parse(source))
+    _agrees(parse(source) if source in _PANEL else source)
 
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(e=st.one_of(expressions(), unsorted_expressions()))
 def test_random_trees_agree(e):
     _agrees(e)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(e=st.one_of(expressions(), unsorted_expressions()))
+def test_normal_forms_normalize_to_themselves(e):
+    n = normalize(e)
+    assert normalize(n) is n
+    assert normal_form(n) == (n, True)

@@ -4,11 +4,13 @@ Both print `tests/strategies.py` trees, well-sorted or not, and an
 exhaustive panel: every operator (the twelve binary ones, `not`, unary
 minus and `if`) placed in every child position of every operator.  The
 two must give the same text, and the panel's text must parse back to
-its tree.
+its tree.  A value that is not a node, at the top or as a child, raises
+the reference's `TypeError`.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,6 +42,7 @@ def _positions() -> list:
 
 
 _PANEL = [outer(inner(ParamRef("a"))) for outer in _positions() for inner in _positions()]
+_NOT_NODES = [1, None, "x", *(place(1) for place in _positions())]
 
 
 def test_panel_matches_reference():
@@ -48,6 +51,12 @@ def test_panel_matches_reference():
         text = print_expr(tree)
         assert text == reference_printer.print_expr(tree), tree
         assert parse(text) == tree, text
+    for value in _NOT_NODES:
+        with pytest.raises(TypeError) as expected:
+            reference_printer.print_expr(value)
+        with pytest.raises(TypeError) as got:
+            print_expr(value)
+        assert str(got.value) == str(expected.value), value
 
 
 @settings(max_examples=300, deadline=None)
